@@ -21,11 +21,9 @@ from .datasets import (
     gen_synthetic,
     lift9,
     load_csv,
-    minmax_scale,
     save_csv,
 )
 from .errors import (
-    ConvergenceError,
     CsvParseError,
     DegenerateInputError,
     InvalidConfigError,
@@ -70,7 +68,6 @@ from .numerics import (
     make_rng,
     pair_distances,
     pairwise_euclidean,
-    pca,
     spectral_norm,
 )
 

@@ -2,12 +2,11 @@
 scatter plots, and the numerical self-checks.
 
 Exit codes: 0 success, 2 usage/input error, 3 numeric failure (diverged
-training or a failed check). Every subcommand is deterministic given its
-flags; all randomness derives from ``--seed``.
-
-The environment variable ``NEURODAVIS_THREADS`` caps the BLAS thread pools
-(it is applied before numpy is imported, so it must be set before the first
-library import in the same process).
+training or a failed check). Every subcommand's output is bit-identical
+given its flags, the BLAS thread count and the numpy build; all randomness
+derives from ``--seed``. To pin the BLAS thread count, set
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` before
+Python starts: BLAS reads them once, when numpy loads it.
 """
 
 from __future__ import annotations
@@ -25,14 +24,6 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("NEURODAVIS_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _fail(message: str, code: int = USAGE_ERROR) -> int:
@@ -413,7 +404,6 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -222,21 +222,6 @@ def lift9(ds: Dataset) -> Dataset:
     )
 
 
-def minmax_scale(ds: Dataset) -> Dataset:
-    """Affinely map every column to [0, 1]; constant columns become zeros."""
-    lo = ds.x.min(axis=0)
-    hi = ds.x.max(axis=0)
-    span = hi - lo
-    span[span == 0.0] = 1.0  # constant columns: (x - lo) is zero already
-    scaled = (ds.x - lo) / span
-    return Dataset(
-        scaled,
-        labels=None if ds.labels is None else ds.labels.copy(),
-        feature_names=None if ds.feature_names is None else list(ds.feature_names),
-        name=ds.name,
-    )
-
-
 def _parse_cell(cell: str, row: int, col: int) -> float:
     try:
         return float(cell)

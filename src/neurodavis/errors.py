@@ -17,17 +17,6 @@ class DegenerateInputError(NeurodavisError, ValueError):
     """Input is valid in shape but carries no usable signal (e.g. zero variance)."""
 
 
-class ConvergenceError(NeurodavisError, RuntimeError):
-    """An iterative routine hit its iteration cap.
-
-    Carries the last iterate so callers can inspect how far it got.
-    """
-
-    def __init__(self, message: str, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class TrainingDivergedError(NeurodavisError, RuntimeError):
     """Training produced a non-finite loss; ``report`` holds progress so far."""
 

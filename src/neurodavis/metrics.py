@@ -55,7 +55,7 @@ def _as_vector(a, name: str) -> np.ndarray:
 def rank_average(a) -> np.ndarray:
     """Average-tie (fractional) ranks, 1-based."""
     a = _as_vector(a, "a")
-    order = np.argsort(a, kind="stable")
+    order = np.argsort(a)  # ranks of tied values do not depend on their order
     sorted_a = a[order]
     group = np.cumsum(np.r_[0, np.diff(sorted_a) != 0])
     counts = np.bincount(group)

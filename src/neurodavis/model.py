@@ -28,8 +28,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,31 +233,13 @@ class ForwardTrace:
     recon: np.ndarray  # (m, d); reconstruction layer is linear
 
 
-class LossTerms(tuple):
-    """(total, recon_term, activity_term, weight_term); total is built as the
-    exact sum of the three components."""
+class LossTerms(NamedTuple):
+    """Objective terms; ``total`` is the exact sum of the other three."""
 
-    __slots__ = ()
-
-    def __new__(cls, recon_term: float, activity_term: float, weight_term: float):
-        total = recon_term + activity_term + weight_term
-        return super().__new__(cls, (total, recon_term, activity_term, weight_term))
-
-    @property
-    def total(self) -> float:
-        return self[0]
-
-    @property
-    def recon_term(self) -> float:
-        return self[1]
-
-    @property
-    def activity_term(self) -> float:
-        return self[2]
-
-    @property
-    def weight_term(self) -> float:
-        return self[3]
+    total: float
+    recon_term: float
+    activity_term: float
+    weight_term: float
 
 
 @dataclass
@@ -380,7 +362,8 @@ def loss(
     for layer in model.hidden:
         wsum += np.linalg.norm(layer.w).item()
     weight_term = config.beta * wsum
-    return LossTerms(recon_term, activity_term, weight_term)
+    total = recon_term + activity_term + weight_term
+    return LossTerms(total, recon_term, activity_term, weight_term)
 
 
 def _unit_rows(h: np.ndarray) -> np.ndarray:
@@ -553,34 +536,56 @@ def save_checkpoint(model: Model, config: ModelConfig, path) -> None:
         json.dump(doc, fh)
 
 
+def _check_loaded(model: Model, config: ModelConfig) -> None:
+    """Raise unless the parameters and both Adam moments have exactly the
+    names and shapes that the config gives for the checkpoint's n and d."""
+    d = model.recon.b.size
+    dims = (config.latent_dim, *config.resolved_hidden(d), d)
+    names = [f"hidden{i}" for i in range(len(dims) - 2)] + ["recon"]
+    expected = {"latent_table": (*model.latent_table.shape[:1], config.latent_dim)}
+    for name, fan_in, fan_out in zip(names, dims, dims[1:]):
+        expected.update({f"{name}.w": (fan_in, fan_out), f"{name}.b": (fan_out,)})
+    for arrays in (dict(model.parameters()), model.adam.m, model.adam.v):
+        shapes = {name: a.shape for name, a in arrays.items()}
+        if shapes != expected:
+            raise InvalidInputError(
+                f"checkpoint arrays {shapes} do not chain as its config "
+                f"requires: {expected}"
+            )
+
+
 def load_checkpoint(path) -> tuple[Model, ModelConfig]:
+    """Read a checkpoint written by ``save_checkpoint``; anything but a
+    complete, self-consistent v1 document raises ``InvalidInputError``."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"checkpoint {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise InvalidInputError(f"not a checkpoint file: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise InvalidInputError(f"unsupported checkpoint version {doc.get('version')}")
-    config = ModelConfig.from_dict(doc["config"])
-    params = doc["params"]
-    model = Model(
-        latent_table=_decode_array(params["latent_table"]),
-        hidden=[
-            Layer(w=_decode_array(l["w"]), b=_decode_array(l["b"]))
-            for l in params["hidden"]
-        ],
-        recon=Layer(
-            w=_decode_array(params["recon"]["w"]),
-            b=_decode_array(params["recon"]["b"]),
-        ),
-        adam=AdamState(
-            t=int(doc["adam"]["t"]),
-            m={k: _decode_array(v) for k, v in doc["adam"]["m"].items()},
-            v={k: _decode_array(v) for k, v in doc["adam"]["v"].items()},
-        ),
-    )
+    try:
+        config = ModelConfig.from_dict(doc["config"])
+        params = doc["params"]
+        model = Model(
+            latent_table=_decode_array(params["latent_table"]),
+            hidden=[
+                Layer(w=_decode_array(l["w"]), b=_decode_array(l["b"]))
+                for l in params["hidden"]
+            ],
+            recon=Layer(
+                w=_decode_array(params["recon"]["w"]),
+                b=_decode_array(params["recon"]["b"]),
+            ),
+            adam=AdamState(
+                t=int(doc["adam"]["t"]),
+                m={k: _decode_array(v) for k, v in doc["adam"]["m"].items()},
+                v={k: _decode_array(v) for k, v in doc["adam"]["v"].items()},
+            ),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed checkpoint {path}: {exc!r}") from exc
+    _check_loaded(model, config)
     return model, config
-
-
-def clone_config(config: ModelConfig, **overrides) -> ModelConfig:
-    """Copy of ``config`` with the given fields replaced."""
-    return replace(config, **overrides)

@@ -1,4 +1,4 @@
-"""Dense numerical substrate: seeded RNG, pairwise distances, spectral norm, PCA.
+"""Dense numerical substrate: seeded RNG, pairwise distances, spectral norm.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 
 Rng = np.random.Generator
 
@@ -116,92 +116,9 @@ def pairwise_euclidean(
     return ii, jj, pair_distances(x, ii, jj)
 
 
-def spectral_norm(w, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Largest singular value of ``w`` by power iteration on ``w.T @ w``.
-
-    Starts from the normalized all-ones vector (deterministic). The estimate
-    sequence is monotone non-decreasing and never exceeds the true value, so
-    early stopping underestimates at worst. Should the start vector lie in
-    the null space exactly, two further deterministic starts are tried (an
-    index ramp, then a fixed-seed random vector) before concluding zero.
-    """
+def spectral_norm(w) -> float:
+    """Largest singular value of ``w``, read exactly from a LAPACK SVD."""
     w = as_matrix(w, "w")
     if w.size == 0:
         raise InvalidInputError("w must be nonempty")
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    if not np.any(w):
-        return 0.0
-    n = w.shape[1]
-    starts = [
-        np.full(n, 1.0 / np.sqrt(n)),
-        np.arange(1.0, n + 1.0) / np.linalg.norm(np.arange(1.0, n + 1.0)),
-        None,  # lazily drawn fixed-seed random vector
-    ]
-    start_idx = 0
-    v = starts[0]
-    lam = 0.0
-    for _ in range(max_iter):
-        u = w.T @ (w @ v)
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            start_idx += 1
-            if start_idx >= len(starts):
-                return 0.0
-            if starts[start_idx] is None:
-                r = make_rng(0).standard_normal(n)
-                starts[start_idx] = r / np.linalg.norm(r)
-            v = starts[start_idx]
-            lam = 0.0
-            continue
-        v = u / nu
-        if abs(nu - lam) <= tol * max(nu, np.finfo(np.float64).tiny):
-            return float(np.sqrt(nu))
-        lam = nu
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_estimate=float(np.sqrt(lam)),
-    )
-
-
-def pca(x, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """Principal directions and projections of mean-centered ``x``.
-
-    Returns ``(components, projected)`` where ``components`` is (d, c) with
-    orthonormal columns in decreasing explained-variance order and
-    ``projected`` is the centered data times ``components``. Each component's
-    largest-magnitude entry is made positive to fix the sign. Uses the d x d
-    covariance eigendecomposition when d <= n and the n x n Gram matrix
-    otherwise; the contract is identical either way.
-    """
-    x = as_matrix(x, "x")
-    n, d = x.shape
-    if not 1 <= n_components <= min(n - 1, d):
-        raise InvalidInputError(
-            f"n_components must be in [1, {min(n - 1, d)}], got {n_components}"
-        )
-    if np.all(x.max(axis=0) == x.min(axis=0)):
-        raise DegenerateInputError("constant data has no principal directions")
-    xc = x - x.mean(axis=0)
-    if d <= n:
-        cov = (xc.T @ xc) / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        order = np.argsort(evals)[::-1][:n_components]
-        components = evecs[:, order]
-    else:
-        gram = (xc @ xc.T) / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1][:n_components]
-        top = evals[order]
-        if np.any(top <= 1e-12 * max(top[0], 1e-300)):
-            raise DegenerateInputError(
-                "data rank is below the requested number of components"
-            )
-        components = xc.T @ evecs[:, order]
-        components /= np.linalg.norm(components, axis=0)
-    # sign convention: largest-magnitude entry of each direction is positive
-    picks = np.argmax(np.abs(components), axis=0)
-    signs = np.sign(components[picks, np.arange(components.shape[1])])
-    signs[signs == 0] = 1.0
-    components *= signs
-    return components, xc @ components
+    return float(np.linalg.norm(w, 2))

@@ -32,6 +32,10 @@ class TestLemma1:
         assert report.max_norm <= 1.0 + 1e-9
         assert report.passed
 
+    def test_thousand_trials_on_twenty_seeds(self):
+        for seed in range(20):
+            assert check_lemma1(1000, 8, make_rng(seed)).passed, seed
+
     def test_invalid_args(self):
         with pytest.raises(InvalidInputError):
             check_lemma1(trials=0, max_dim=4, rng=make_rng(0))

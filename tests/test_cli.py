@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurodavis
 from neurodavis.cli import main, render_scatter_svg
 from neurodavis.datasets import load_csv
 
@@ -88,6 +93,31 @@ class TestFit:
         first = (tmp_path / "e.csv").read_bytes()
         self._fit(tmp_path, spiral_csv)
         assert (tmp_path / "e.csv").read_bytes() == first
+
+    def test_processes_with_equal_thread_count_bit_identical(self, tmp_path, spiral_csv):
+        # The contract is (seed, BLAS thread count, numpy build); BLAS reads
+        # its thread count when numpy loads it, so each run is a fresh process.
+        src = str(Path(neurodavis.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        outputs = []
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir
+            out.mkdir()
+            argv = [
+                sys.executable, "-m", "neurodavis.cli", "fit",
+                "--in", str(spiral_csv),
+                "--label-col", "label",
+                "--epochs", "20",
+                "--no-early-stop",
+                "--out-model", str(out / "m.json"),
+                "--out-embedding", str(out / "e.csv"),
+                "--out-report", str(out / "r.json"),
+            ]
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+            outputs.append((out / "e.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_divergence_exits_3_with_report(self, tmp_path, spiral_csv):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -3,8 +3,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from neurodavis.datasets import (
     Dataset,
@@ -12,7 +10,6 @@ from neurodavis.datasets import (
     gen_synthetic,
     lift9,
     load_csv,
-    minmax_scale,
     save_csv,
 )
 from neurodavis.errors import CsvParseError, InvalidInputError
@@ -100,37 +97,6 @@ class TestLift9:
         a = lift9(Dataset(x)).x[perm]
         b = lift9(Dataset(x[perm])).x
         np.testing.assert_array_equal(a, b)
-
-
-class TestMinMaxScale:
-    def test_simple_column(self):
-        ds = minmax_scale(Dataset(np.array([[2.0], [4.0], [6.0]])))
-        np.testing.assert_array_equal(ds.x[:, 0], [0.0, 0.5, 1.0])
-
-    def test_constant_column_maps_to_zero(self):
-        ds = minmax_scale(Dataset(np.array([[5.0, 1.0], [5.0, 2.0]])))
-        np.testing.assert_array_equal(ds.x[:, 0], [0.0, 0.0])
-
-    def test_unit_interval_idempotent_on_extremes(self):
-        x = np.array([[0.0], [0.25], [1.0]])
-        out = minmax_scale(Dataset(x)).x
-        np.testing.assert_allclose(out, x, atol=1e-15)
-
-    @given(
-        st.lists(
-            st.lists(
-                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
-                min_size=2,
-                max_size=2,
-            ),
-            min_size=2,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_output_in_unit_interval(self, rows):
-        out = minmax_scale(Dataset(np.asarray(rows))).x
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 class TestCsv:

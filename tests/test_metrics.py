@@ -155,6 +155,13 @@ class TestRanksAndCorrelation:
         for seed in range(5):
             a = make_rng(seed).integers(0, 5, size=12).astype(float)
             np.testing.assert_allclose(rank_average(a), oracle_ranks(a))
+        # tie-heavy: mean ordinal rank of each value under a stable sort
+        a = make_rng(5).integers(0, 100, size=100_000).astype(float)
+        ordinal = np.empty(len(a))
+        ordinal[np.argsort(a, kind="stable")] = np.arange(1, len(a) + 1)
+        _, group = np.unique(a, return_inverse=True)
+        mean_rank = np.bincount(group, weights=ordinal) / np.bincount(group)
+        np.testing.assert_array_equal(rank_average(a), mean_rank[group])
 
     def test_spearman_identity(self):
         a = [3.0, 1.0, 4.0, 1.5]

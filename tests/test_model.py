@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -450,6 +452,23 @@ class TestCheckpoint:
         for key in model.adam.m:
             assert np.array_equal(loaded.adam.m[key], model.adam.m[key])
             assert np.array_equal(loaded.adam.v[key], model.adam.v[key])
+
+    @pytest.mark.parametrize("breakage", ["missing_key", "shape_chain", "adam_keys"])
+    def test_rejects_broken_document(self, tmp_path, breakage):
+        cfg = ModelConfig(seed=4, hidden_widths=(6, 5), epochs=2, convergence=None)
+        model, _ = fit(make_rng(9).standard_normal((15, 3)), cfg)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, cfg, path)
+        doc = json.loads(path.read_text())
+        if breakage == "missing_key":
+            del doc["params"]["recon"]["b"]
+        elif breakage == "shape_chain":
+            doc["params"]["hidden"][1] = doc["params"]["hidden"][0]  # 2 -> 6 after 2 -> 6
+        else:
+            doc["adam"]["v"]["hidden9.w"] = doc["adam"]["v"].pop("hidden0.w")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError):
+            load_checkpoint(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
