@@ -59,9 +59,7 @@ from .model import (
     forward,
     gradients,
     init_model,
-    load_checkpoint,
     loss,
-    reconstruct,
     save_checkpoint,
 )
 from .numerics import (

@@ -1,8 +1,9 @@
 """Command-line interface: dataset generation, training, evaluation, SVG
 scatter plots, and the numerical self-checks.
 
-Exit codes: 0 success, 2 usage/input error, 3 numeric failure (diverged
-training or a failed check). Every subcommand's output is bit-identical
+Exit codes: 0 success, 2 usage/input error (including flag values out of
+range and unwritable output paths), 3 numeric failure (diverged training
+or a failed check). Every subcommand's output is bit-identical
 given its flags, the BLAS thread count and the numpy build; all randomness
 derives from ``--seed``. To pin the BLAS thread count, set
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` before
@@ -35,7 +36,25 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "none":
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers or 'none', got {text!r}"
+        ) from None
+
+
+def _positive(kind):
+    """Argument type: ``kind`` (int or float) that must be > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _model_config(args):
@@ -46,7 +65,7 @@ def _model_config(args):
         convergence = Convergence(window=args.window, rel_tol=args.rel_tol)
     return ModelConfig(
         latent_dim=args.k,
-        hidden_widths=None if args.hidden is None else _parse_hidden(args.hidden),
+        hidden_widths=args.hidden,
         alpha=args.alpha,
         beta=args.beta,
         learning_rate=args.lr,
@@ -61,6 +80,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=2, help="embedding dimension")
     p.add_argument(
         "--hidden",
+        type=_parse_hidden,
         default=None,
         help="comma-separated hidden widths, 'none' for a linear decoder "
         "(default: two auto-sized layers)",
@@ -112,7 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from: distance,centroid,area,knn,cluster",
     )
     p_eval.add_argument("--pair-budget", type=int, default=2_000_000)
-    p_eval.add_argument("--runs", type=int, default=1, help="pair-sample repeats")
+    p_eval.add_argument(
+        "--runs", type=_positive(int), default=1, help="pair-sample repeats"
+    )
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument(
         "--compare",
@@ -127,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--labels", default=None, help="CSV with a 'label' column")
     p_plot.add_argument("--label-col", default="label")
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--width", type=int, default=640)
-    p_plot.add_argument("--height", type=int, default=480)
-    p_plot.add_argument("--point-radius", type=float, default=2.5)
+    p_plot.add_argument("--width", type=_positive(int), default=640)
+    p_plot.add_argument("--height", type=_positive(int), default=480)
+    p_plot.add_argument("--point-radius", type=_positive(float), default=2.5)
 
     p_check = sub.add_parser("check", help="run the numerical self-checks")
     p_check.add_argument(
@@ -148,10 +170,7 @@ def cmd_gen(args) -> int:
     ds = gen_synthetic(args.kind, make_rng(args.seed))
     if args.lift9:
         ds = lift9(ds)
-    try:
-        save_csv(ds, args.out)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+    save_csv(ds, args.out)
     print(f"wrote {ds.n} x {ds.d} dataset '{ds.name}' to {args.out}")
     return 0
 
@@ -241,7 +260,7 @@ def cmd_eval(args) -> int:
     }
     try:
         runs = []
-        for r in range(max(1, args.runs)):
+        for r in range(args.runs):
             rng = make_rng(args.seed + r)
             values = evaluate_embedding(
                 high.x,
@@ -354,11 +373,8 @@ def cmd_plot(args) -> int:
         height=args.height,
         point_radius=args.point_radius,
     )
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(svg)
     print(f"wrote {emb.n} points to {args.out}")
     return 0
 
@@ -420,7 +436,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NeurodavisError as exc:
+    except (NeurodavisError, OSError) as exc:  # bad input, unwritable output
         return _fail(str(exc))
 
 

@@ -331,9 +331,9 @@ def _lloyd(
     return labels, inertia, history
 
 
-def kmeans(x, k: int, rng: Rng | None = None, restarts: int = 10) -> np.ndarray:
+def kmeans(x, k: int, rng: Rng | None = None) -> np.ndarray:
     """K-means labels: ++-style seeding, Lloyd iterations to an assignment
-    fixpoint (or 300 iterations), best inertia over ``restarts`` (first
+    fixpoint (or 300 iterations), best inertia over 10 restarts (first
     restart wins ties)."""
     x = as_matrix(x, "x")
     if not 1 <= k <= x.shape[0]:
@@ -341,7 +341,7 @@ def kmeans(x, k: int, rng: Rng | None = None, restarts: int = 10) -> np.ndarray:
     if rng is None:
         rng = make_rng(0)
     best_labels, best_inertia = None, math.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(10):
         centers = _kmeanspp_init(x, k, rng)
         labels, inertia, _ = _lloyd(x, centers)
         if inertia < best_inertia:

@@ -54,13 +54,11 @@ __all__ = [
     "adam_step",
     "fit",
     "embed",
-    "reconstruct",
     "save_checkpoint",
-    "load_checkpoint",
 ]
 
 CHECKPOINT_FORMAT = "neurodavis-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -104,10 +102,16 @@ class ModelConfig:
                 raise InvalidConfigError(
                     f"hidden widths must be >= 1, got {self.hidden_widths}"
                 )
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.learning_rate))):
+            raise InvalidConfigError("alpha, beta and learning_rate must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise InvalidConfigError("alpha and beta must be >= 0")
         if self.learning_rate <= 0:
             raise InvalidConfigError("learning_rate must be > 0")
+        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
+            raise InvalidConfigError("adam_beta1 and adam_beta2 must be in [0, 1)")
+        if not (0 < self.adam_eps < math.inf):
+            raise InvalidConfigError("adam_eps must be finite and > 0")
         if self.epochs < 1:
             raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -167,59 +171,61 @@ class Layer:
     b: np.ndarray  # (fan_out,)
 
 
-@dataclass
-class AdamState:
-    t: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+def _shapes(dims: tuple[int, ...]):
+    """(name, shape) of every parameter, in storage order, for a model with
+    ``dims`` = (n, latent_dim, *hidden widths, d)."""
+    n, *chain = dims
+    yield "latent_table", (n, chain[0])
+    names = [f"hidden{i}" for i in range(len(chain) - 2)] + ["recon"]
+    for name, fan_in, fan_out in zip(names, chain, chain[1:]):
+        yield f"{name}.w", (fan_in, fan_out)
+        yield f"{name}.b", (fan_out,)
 
 
 @dataclass
 class Model:
-    """Trainable state; shapes chain latent_dim -> hidden widths -> d."""
+    """Trainable state. All parameters live in one flat vector ``theta``;
+    Adam's moments ``m`` and ``v`` share its layout and ``t`` counts steps.
+    ``latent_table``, ``hidden`` and ``recon`` are reshaped views into
+    ``theta``, so writing through them updates it."""
 
-    latent_table: np.ndarray  # (n, k)
-    hidden: list[Layer]
-    recon: Layer
-    adam: AdamState
+    dims: tuple[int, ...]  # (n, latent_dim, *hidden widths, d)
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
+    latent_table: np.ndarray = field(init=False, repr=False)  # (n, k)
+    hidden: list[Layer] = field(init=False, repr=False)
+    recon: Layer = field(init=False, repr=False)
+
+    def __post_init__(self):
+        table, *arrays = self.views(self.theta).values()
+        layers = [Layer(w=w, b=b) for w, b in zip(arrays[::2], arrays[1::2])]
+        self.latent_table, self.hidden, self.recon = table, layers[:-1], layers[-1]
 
     @property
     def n(self) -> int:
-        return self.latent_table.shape[0]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.latent_table.shape[1]
+        return self.dims[0]
 
     @property
     def d(self) -> int:
-        return self.recon.w.shape[1]
+        return self.dims[-1]
 
-    def parameters(self):
-        """Yield (name, array) for every trainable parameter, fixed order."""
-        yield "latent_table", self.latent_table
-        for i, layer in enumerate(self.hidden):
-            yield f"hidden{i}.w", layer.w
-            yield f"hidden{i}.b", layer.b
-        yield "recon.w", self.recon.w
-        yield "recon.b", self.recon.b
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views into ``flat`` (a vector laid out like ``theta``):
+        ``latent_table``, ``hidden{i}.w``, ``hidden{i}.b``, ``recon.w``,
+        ``recon.b``, each row-major, in this order."""
+        out, start = {}, 0
+        for name, shape in _shapes(self.dims):
+            stop = start + math.prod(shape)
+            out[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return out
 
     def astype(self, dtype) -> "Model":
-        """Copy with every parameter and Adam moment cast to ``dtype``."""
-
-        def cast(layer: Layer) -> Layer:
-            return Layer(w=layer.w.astype(dtype), b=layer.b.astype(dtype))
-
-        return Model(
-            latent_table=self.latent_table.astype(dtype),
-            hidden=[cast(layer) for layer in self.hidden],
-            recon=cast(self.recon),
-            adam=AdamState(
-                t=self.adam.t,
-                m={k: v.astype(dtype) for k, v in self.adam.m.items()},
-                v={k: v.astype(dtype) for k, v in self.adam.v.items()},
-            ),
-        )
+        """Copy with the parameters and Adam moments cast to ``dtype``."""
+        cast = [a.astype(dtype) for a in (self.theta, self.m, self.v)]
+        return Model(self.dims, *cast, t=self.t)
 
 
 @dataclass
@@ -273,28 +279,15 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     """
     if n < 1 or d < 1:
         raise InvalidInputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    widths = config.resolved_hidden(d)
+    dims = (n, config.latent_dim, *config.resolved_hidden(d), d)
+    size = sum(math.prod(shape) for _, shape in _shapes(dims))
+    model = Model(dims, np.zeros(size), np.zeros(size), np.zeros(size))
     rng = make_rng(config.seed)
-    latent = rng.uniform(-0.01, 0.01, (n, config.latent_dim))
-    dims = [config.latent_dim, *widths, d]
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    model.latent_table[...] = rng.uniform(-0.01, 0.01, model.latent_table.shape)
+    for layer in (*model.hidden, model.recon):
+        fan_in, fan_out = layer.w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        layers.append(
-            Layer(
-                w=rng.uniform(-limit, limit, (fan_in, fan_out)),
-                b=np.zeros(fan_out),
-            )
-        )
-    model = Model(
-        latent_table=latent,
-        hidden=layers[:-1],
-        recon=layers[-1],
-        adam=AdamState(t=0, m={}, v={}),
-    )
-    for name, p in model.parameters():
-        model.adam.m[name] = np.zeros_like(p)
-        model.adam.v[name] = np.zeros_like(p)
+        layer.w[...] = rng.uniform(-limit, limit, (fan_in, fan_out))
     return model
 
 
@@ -379,22 +372,24 @@ def gradients(
     batch_indices: Sequence[int],
     x_batch: np.ndarray,
     config: ModelConfig,
-) -> dict[str, np.ndarray]:
-    """Analytic gradients of :func:`loss` for the batch, keyed like
-    ``Model.parameters()``. Latent rows outside the batch get exactly zero.
-    ReLU and L2-norm subgradients at zero are zero."""
+) -> np.ndarray:
+    """Analytic gradients of :func:`loss` for the batch, as one vector laid
+    out like ``model.theta`` (``model.views`` names its parts). Latent rows
+    outside the batch get exactly zero. ReLU and L2-norm subgradients at
+    zero are zero."""
     trace = forward(model, batch_indices)
     x_batch = as_matrix(x_batch, "x_batch")
     if x_batch.shape != trace.recon.shape:
         raise InvalidInputError("x_batch shape does not match batch")
     idx = trace.batch_indices
     m = len(idx)
-    grads = {name: np.zeros_like(p) for name, p in model.parameters()}
+    flat = np.zeros_like(model.theta)
+    grads = model.views(flat)
 
     d_out = (2.0 / m) * (trace.recon - x_batch)  # d recon_term / d recon
     below = trace.hidden_act[-1] if model.hidden else trace.latent
-    grads["recon.w"] = below.T @ d_out
-    grads["recon.b"] = d_out.sum(axis=0)
+    grads["recon.w"][...] = below.T @ d_out
+    grads["recon.b"][...] = d_out.sum(axis=0)
     d_h = d_out @ model.recon.w.T
 
     for li in reversed(range(len(model.hidden))):
@@ -403,12 +398,12 @@ def gradients(
             d_h = d_h + config.alpha * _unit_rows(trace.hidden_act[li])
         d_a = d_h * (trace.hidden_pre[li] > 0.0)
         below = trace.hidden_act[li - 1] if li > 0 else trace.latent
-        grads[f"hidden{li}.w"] = below.T @ d_a
+        grads[f"hidden{li}.w"][...] = below.T @ d_a
         if config.beta:
             fro = float(np.linalg.norm(layer.w))
             if fro > 0:
                 grads[f"hidden{li}.w"] += config.beta * layer.w / fro
-        grads[f"hidden{li}.b"] = d_a.sum(axis=0)
+        grads[f"hidden{li}.b"][...] = d_a.sum(axis=0)
         d_h = d_a @ layer.w.T
 
     if config.alpha:
@@ -419,30 +414,28 @@ def gradients(
         if fro > 0:
             d_h = d_h + config.beta * sub / fro
     np.add.at(grads["latent_table"], idx, d_h)
-    return grads
+    return flat
 
 
 def adam_step(
     model: Model,
-    grads: dict[str, np.ndarray],
+    grads: np.ndarray,
     config: ModelConfig,
 ) -> Model:
-    """One Adam update with bias correction, in place; returns the model.
-    Parameters with exactly zero gradient and zero moments are unchanged."""
-    st = model.adam
-    st.t += 1
+    """One Adam update with bias correction over the whole parameter vector,
+    in place; returns the model. Parameters with exactly zero gradient and
+    zero moments are unchanged."""
+    model.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1**st.t
-    c2 = 1.0 - b2**st.t
+    c1 = 1.0 - b1**model.t
+    c2 = 1.0 - b2**model.t
     lr, eps = config.learning_rate, config.adam_eps
-    for name, p in model.parameters():
-        g = grads[name]
-        m, v = st.m[name], st.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = model.m, model.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    model.theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
     return model
 
 
@@ -495,22 +488,13 @@ def embed(model: Model) -> np.ndarray:
     return model.latent_table.copy()
 
 
-def reconstruct(model: Model) -> np.ndarray:
-    """Full forward pass over all samples; returns the n x d reconstruction."""
-    return forward(model, np.arange(model.n)).recon
-
-
 def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
 
 
-def _decode_array(doc: dict) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
-
-
 def save_checkpoint(model: Model, config: ModelConfig, path) -> None:
     """Write a versioned JSON checkpoint (config incl. seed, all parameter
-    matrices row-major, Adam state). JSON floats round-trip bit-exactly."""
+    matrices row-major). JSON floats round-trip bit-exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -526,66 +510,6 @@ def save_checkpoint(model: Model, config: ModelConfig, path) -> None:
                 "b": _encode_array(model.recon.b),
             },
         },
-        "adam": {
-            "t": model.adam.t,
-            "m": {k: _encode_array(v) for k, v in model.adam.m.items()},
-            "v": {k: _encode_array(v) for k, v in model.adam.v.items()},
-        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-
-
-def _check_loaded(model: Model, config: ModelConfig) -> None:
-    """Raise unless the parameters and both Adam moments have exactly the
-    names and shapes that the config gives for the checkpoint's n and d."""
-    d = model.recon.b.size
-    dims = (config.latent_dim, *config.resolved_hidden(d), d)
-    names = [f"hidden{i}" for i in range(len(dims) - 2)] + ["recon"]
-    expected = {"latent_table": (*model.latent_table.shape[:1], config.latent_dim)}
-    for name, fan_in, fan_out in zip(names, dims, dims[1:]):
-        expected.update({f"{name}.w": (fan_in, fan_out), f"{name}.b": (fan_out,)})
-    for arrays in (dict(model.parameters()), model.adam.m, model.adam.v):
-        shapes = {name: a.shape for name, a in arrays.items()}
-        if shapes != expected:
-            raise InvalidInputError(
-                f"checkpoint arrays {shapes} do not chain as its config "
-                f"requires: {expected}"
-            )
-
-
-def load_checkpoint(path) -> tuple[Model, ModelConfig]:
-    """Read a checkpoint written by ``save_checkpoint``; anything but a
-    complete, self-consistent v1 document raises ``InvalidInputError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise InvalidInputError(f"checkpoint {path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise InvalidInputError(f"not a checkpoint file: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise InvalidInputError(f"unsupported checkpoint version {doc.get('version')}")
-    try:
-        config = ModelConfig.from_dict(doc["config"])
-        params = doc["params"]
-        model = Model(
-            latent_table=_decode_array(params["latent_table"]),
-            hidden=[
-                Layer(w=_decode_array(l["w"]), b=_decode_array(l["b"]))
-                for l in params["hidden"]
-            ],
-            recon=Layer(
-                w=_decode_array(params["recon"]["w"]),
-                b=_decode_array(params["recon"]["b"]),
-            ),
-            adam=AdamState(
-                t=int(doc["adam"]["t"]),
-                m={k: _decode_array(v) for k, v in doc["adam"]["m"].items()},
-                v={k: _decode_array(v) for k, v in doc["adam"]["v"].items()},
-            ),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed checkpoint {path}: {exc!r}") from exc
-    _check_loaded(model, config)
-    return model, config

@@ -103,7 +103,7 @@ class TestGradientCheck:
         model = init_model(cfg, 3, 2)
         x = make_rng(0).standard_normal((3, 2))
         numeric = finite_difference_gradients(model, np.arange(3), x, cfg)
-        assert all(g.dtype == np.float64 for g in numeric.values())
+        assert numeric.dtype == np.float64 and numeric.shape == model.theta.shape
         monkeypatch.setattr("neurodavis.analysis.LONGDOUBLE_EXTENDS_FLOAT64", False)
         with pytest.warns(RuntimeWarning, match="roundoff-limited"):
             finite_difference_gradients(model, np.arange(3), x, cfg)

@@ -129,6 +129,21 @@ class TestFit:
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["fit", "--in", str(tmp_path / "nope.csv")]) == 2
 
+    def test_non_integer_hidden_exits_2(self, tmp_path, spiral_csv, capsys):
+        assert self._fit(tmp_path, spiral_csv, extra=["--hidden", "a,b"]) == 2
+        assert "error: argument --hidden" in capsys.readouterr().err
+
+    def test_nan_alpha_exits_2(self, tmp_path, spiral_csv, capsys):
+        assert self._fit(tmp_path, spiral_csv, extra=["--alpha", "nan"]) == 2
+        assert "error: alpha, beta and learning_rate must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out-report", "--out-model", "--out-embedding"])
+    def test_unwritable_output_exits_2(self, tmp_path, spiral_csv, capsys, flag):
+        target = tmp_path / "missing_dir" / "out"
+        assert self._fit(tmp_path, spiral_csv, extra=[flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
 
 class TestEval:
     @staticmethod
@@ -193,6 +208,20 @@ class TestEval:
         short.write_text("x,y\n1,2\n3,4\n")
         assert run(["eval", "--high", str(spiral_csv), "--low", str(short)]) == 2
 
+    def test_unwritable_out_exits_2(self, tmp_path, spiral_csv, capsys):
+        low = self._strip_labels(tmp_path, spiral_csv)
+        out = tmp_path / "missing_dir" / "e.json"
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(low), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_runs_below_one_exits_2(self, tmp_path, spiral_csv, capsys, runs):
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(spiral_csv), "--runs", runs]
+        assert run(argv) == 2
+        assert "error: argument --runs: must be > 0" in capsys.readouterr().err
+
 
 class TestPlot:
     def _embedding(self, tmp_path, n=20, with_labels=True):
@@ -237,6 +266,17 @@ class TestPlot:
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
         assert run(["plot", "--embedding", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--width", "-5"), ("--height", "0"), ("--point-radius", "0"), ("--point-radius", "-1")],
+    )
+    def test_non_positive_size_exits_2(self, tmp_path, capsys, flag, value):
+        emb = self._embedding(tmp_path)
+        out = tmp_path / "o.svg"
+        assert run(["plot", "--embedding", str(emb), "--out", str(out), flag, value]) == 2
+        assert f"error: argument {flag}: must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_label_colors_from_palette(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])

@@ -407,7 +407,7 @@ class TestKnn:
 class TestKmeans:
     def test_k_equals_n_zero_inertia(self):
         x = make_rng(13).standard_normal((8, 2))
-        labels = kmeans(x, 8, rng=make_rng(0), restarts=3)
+        labels = kmeans(x, 8, rng=make_rng(0))
         assert len(np.unique(labels)) == 8
         centers = np.array([x[labels == c].mean(axis=0) for c in range(8)])
         inertia = sum(

@@ -18,9 +18,7 @@ from neurodavis.model import (
     forward,
     gradients,
     init_model,
-    load_checkpoint,
     loss,
-    reconstruct,
     save_checkpoint,
 )
 from neurodavis.numerics import make_rng
@@ -49,25 +47,21 @@ def straight_line_forward(model, idx):
 
 def finite_difference(model, idx, x_batch, config, step=1e-6):
     """Independent central-difference gradients via forward + loss only."""
-    grads = {}
-    for name, p in model.parameters():
-        g = np.zeros_like(p)
-        flat, gflat = p.ravel(), g.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            hi = loss(forward(model, idx), x_batch, model, config).total
-            flat[k] = orig - step
-            lo = loss(forward(model, idx), x_batch, model, config).total
-            flat[k] = orig
-            gflat[k] = (hi - lo) / (2 * step)
-        grads[name] = g
+    theta = model.theta
+    grads = np.zeros_like(theta)
+    for k in range(theta.size):
+        orig = theta[k]
+        theta[k] = orig + step
+        hi = loss(forward(model, idx), x_batch, model, config).total
+        theta[k] = orig - step
+        lo = loss(forward(model, idx), x_batch, model, config).total
+        theta[k] = orig
+        grads[k] = (hi - lo) / (2 * step)
     return grads
 
 
 def zero_model(model):
-    for _, p in model.parameters():
-        p[...] = 0.0
+    model.theta[...] = 0.0
     return model
 
 
@@ -83,6 +77,19 @@ class TestConfig:
             ModelConfig(batch_size=0)
         with pytest.raises(InvalidConfigError):
             ModelConfig(convergence=Convergence(window=1))
+        nan, inf = float("nan"), float("inf")
+        for field in ("alpha", "beta", "learning_rate"):
+            for value in (nan, inf):
+                with pytest.raises(InvalidConfigError):
+                    ModelConfig(**{field: value})
+        for field in ("adam_beta1", "adam_beta2"):
+            for value in (nan, -0.1, 1.0):
+                with pytest.raises(InvalidConfigError):
+                    ModelConfig(**{field: value})
+        for value in (nan, inf, 0.0, -1e-8):
+            with pytest.raises(InvalidConfigError):
+                ModelConfig(adam_eps=value)
+        ModelConfig(adam_beta1=0.0, adam_beta2=0.0)  # the closed ends are valid
 
     def test_auto_hidden_widths(self):
         assert ModelConfig().resolved_hidden(2) == (16, 16)
@@ -109,12 +116,25 @@ class TestInitModel:
         assert model.recon.w.shape == (4, 3)
         assert model.recon.b.shape == (3,)
 
+    def test_layout_views_share_theta(self):
+        model = init_model(ModelConfig(latent_dim=2, hidden_widths=(4,)), n=5, d=3)
+        views = model.views(model.theta)
+        assert list(views) == [
+            "latent_table", "hidden0.w", "hidden0.b", "recon.w", "recon.b"
+        ]
+        assert model.theta.size == 5 * 2 + (2 * 4 + 4) + (4 * 3 + 3)
+        assert model.m.shape == model.v.shape == model.theta.shape
+        for a in (model.latent_table, model.hidden[0].w, model.recon.b):
+            assert np.shares_memory(a, model.theta)
+        model.recon.b[1] = 7.0
+        assert model.theta[-2] == 7.0
+        assert np.array_equal(views["hidden0.w"], model.hidden[0].w)
+
     def test_deterministic(self):
         cfg = ModelConfig(seed=5, hidden_widths=(3,))
         a = init_model(cfg, 6, 2)
         b = init_model(cfg, 6, 2)
-        for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_no_hidden_single_linear_map(self):
         model = init_model(ModelConfig(latent_dim=2, hidden_widths=()), 4, 3)
@@ -129,8 +149,8 @@ class TestInitModel:
     def test_biases_zero_moments_zero(self):
         model = init_model(ModelConfig(seed=1, hidden_widths=(4,)), 5, 3)
         assert np.all(model.hidden[0].b == 0)
-        assert model.adam.t == 0
-        assert all(np.all(v == 0) for v in model.adam.m.values())
+        assert model.t == 0
+        assert np.all(model.m == 0) and np.all(model.v == 0)
 
 
 class TestForward:
@@ -247,8 +267,7 @@ class TestGradients:
         model = init_model(cfg, 3, 2)
         x = forward(model, np.arange(3)).recon.copy()
         grads = gradients(model, np.arange(3), x, cfg)
-        for g in grads.values():
-            np.testing.assert_allclose(g, 0.0, atol=1e-15)
+        np.testing.assert_allclose(grads, 0.0, atol=1e-15)
 
     def test_linear_latent_row_closed_form(self):
         cfg = ModelConfig(latent_dim=2, hidden_widths=(), alpha=0.0, beta=0.0, seed=8)
@@ -257,14 +276,16 @@ class TestGradients:
         grads = gradients(model, np.arange(4), x, cfg)
         trace = forward(model, np.arange(4))
         expected = -(2.0 / 4) * (x - trace.recon) @ model.recon.w.T
-        np.testing.assert_allclose(grads["latent_table"], expected, atol=1e-12)
+        np.testing.assert_allclose(
+            model.views(grads)["latent_table"], expected, atol=1e-12
+        )
 
     def test_rows_outside_batch_get_zero(self):
         cfg = ModelConfig(seed=2, alpha=1e-3, beta=1e-3, hidden_widths=(4,))
         model = init_model(cfg, 10, 3)
         x = make_rng(2).standard_normal((10, 3))
         batch = np.array([1, 4, 6])
-        grads = gradients(model, batch, x[batch], cfg)
+        grads = model.views(gradients(model, batch, x[batch], cfg))
         outside = np.setdiff1d(np.arange(10), batch)
         assert np.all(grads["latent_table"][outside] == 0.0)
         assert np.any(grads["latent_table"][batch] != 0.0)
@@ -278,8 +299,8 @@ class TestGradients:
         model = init_model(cfg, 5, 4)
         x = make_rng(3).standard_normal((5, 4))
         batch = np.array([0, 2, 3])
-        analytic = gradients(model, batch, x[batch], cfg)
-        numeric = finite_difference(model, batch, x[batch], cfg)
+        analytic = model.views(gradients(model, batch, x[batch], cfg))
+        numeric = model.views(finite_difference(model, batch, x[batch], cfg))
         for name in analytic:
             a, f = analytic[name].ravel(), numeric[name].ravel()
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
@@ -290,20 +311,18 @@ class TestAdam:
     def test_zero_grads_zero_moments_no_change(self):
         cfg = ModelConfig(seed=1, hidden_widths=(3,))
         model = init_model(cfg, 4, 2)
-        before = {n: p.copy() for n, p in model.parameters()}
-        grads = {n: np.zeros_like(p) for n, p in model.parameters()}
-        adam_step(model, grads, cfg)
-        assert model.adam.t == 1
-        for name, p in model.parameters():
-            assert np.array_equal(p, before[name])
+        before = model.theta.copy()
+        adam_step(model, np.zeros_like(model.theta), cfg)
+        assert model.t == 1
+        assert np.array_equal(model.theta, before)
 
     def test_scalar_hand_recurrence(self):
         cfg = ModelConfig(
             latent_dim=1, hidden_widths=(), learning_rate=0.1, seed=0
         )
         model = zero_model(init_model(cfg, 1, 1))
-        grads = {n: np.zeros_like(p) for n, p in model.parameters()}
-        grads["recon.w"][0, 0] = 1.0
+        grads = np.zeros_like(model.theta)
+        model.views(grads)["recon.w"][0, 0] = 1.0
         adam_step(model, grads, cfg)
         # first step: m_hat = v_hat = 1 -> delta = -lr / (1 + eps)
         expected = -0.1 / (1.0 + cfg.adam_eps)
@@ -326,8 +345,8 @@ class TestAdam:
         gb = gradients(b, np.arange(5), x, cfg)
         adam_step(a, ga, cfg)
         adam_step(b, gb, cfg)
-        for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.m, b.m) and np.array_equal(a.v, b.v)
 
     def test_batch_isolation(self):
         cfg = ModelConfig(seed=3, alpha=1e-3, beta=1e-3, hidden_widths=(4,))
@@ -357,7 +376,7 @@ class TestFit:
         x = np.array([[1.5, -2.0]])
         model, report = fit(x, cfg)
         assert report.recon[-1] < 1e-4
-        np.testing.assert_allclose(reconstruct(model), x, atol=1e-2)
+        np.testing.assert_allclose(forward(model, [0]).recon, x, atol=1e-2)
 
     def test_loss_decreases_on_synthetic_data(self):
         from neurodavis.datasets import gen_synthetic
@@ -405,7 +424,7 @@ class TestFit:
         x = make_rng(8).standard_normal((25, 4))
         cfg = ModelConfig(seed=1, alpha=0.0, beta=0.0, epochs=40, convergence=None)
         model, report = fit(x, cfg)
-        resid = np.linalg.norm(x - reconstruct(model))
+        resid = np.linalg.norm(x - forward(model, np.arange(25)).recon)
         assert resid == pytest.approx(np.sqrt(25 * report.recon[-1]), abs=1e-9)
 
 
@@ -418,7 +437,7 @@ class TestEmbedReconstruct:
 
     def test_zero_network_reconstruct(self):
         model = zero_model(init_model(ModelConfig(hidden_widths=(3,)), 4, 2))
-        assert np.array_equal(reconstruct(model), np.zeros((4, 2)))
+        assert np.array_equal(forward(model, np.arange(4)).recon, np.zeros((4, 2)))
 
     def test_separated_blobs_stay_separated(self):
         rng = make_rng(12)
@@ -443,35 +462,17 @@ class TestCheckpoint:
         model, _ = fit(x, ModelConfig(seed=4, hidden_widths=(6, 5), epochs=5, convergence=None))
         path = tmp_path / "model.json"
         save_checkpoint(model, cfg, path)
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg == cfg
-        for (na, pa), (nb, pb) in zip(model.parameters(), loaded.parameters()):
-            assert na == nb
-            assert np.array_equal(pa, pb)
-        assert loaded.adam.t == model.adam.t
-        for key in model.adam.m:
-            assert np.array_equal(loaded.adam.m[key], model.adam.m[key])
-            assert np.array_equal(loaded.adam.v[key], model.adam.v[key])
-
-    @pytest.mark.parametrize("breakage", ["missing_key", "shape_chain", "adam_keys"])
-    def test_rejects_broken_document(self, tmp_path, breakage):
-        cfg = ModelConfig(seed=4, hidden_widths=(6, 5), epochs=2, convergence=None)
-        model, _ = fit(make_rng(9).standard_normal((15, 3)), cfg)
-        path = tmp_path / "model.json"
-        save_checkpoint(model, cfg, path)
         doc = json.loads(path.read_text())
-        if breakage == "missing_key":
-            del doc["params"]["recon"]["b"]
-        elif breakage == "shape_chain":
-            doc["params"]["hidden"][1] = doc["params"]["hidden"][0]  # 2 -> 6 after 2 -> 6
-        else:
-            doc["adam"]["v"]["hidden9.w"] = doc["adam"]["v"].pop("hidden0.w")
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InvalidInputError):
-            load_checkpoint(path)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(InvalidInputError):
-            load_checkpoint(path)
+        assert (doc["format"], doc["version"]) == ("neurodavis-checkpoint", 2)
+        assert set(doc) == {"format", "version", "config", "params"}
+        assert doc["config"] == cfg.to_dict()
+        params = doc["params"]
+        stored = [params["latent_table"]]
+        for layer in (*params["hidden"], params["recon"]):
+            stored += [layer["w"], layer["b"]]
+        views = model.views(model.theta).values()
+        assert len(stored) == len(views)
+        for entry, p in zip(stored, views):
+            loaded = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            assert loaded.shape == p.shape
+            assert loaded.tobytes() == p.tobytes()
