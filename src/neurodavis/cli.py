@@ -198,6 +198,10 @@ def cmd_fit(args) -> int:
     model_path = args.out_model or f"{stem}.model.json"
     emb_path = args.out_embedding or f"{stem}.embedding.csv"
     report_path = args.out_report or f"{stem}.train.json"
+    for path in (model_path, emb_path, report_path):  # fail before training
+        folder = os.path.dirname(path) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            return _fail(f"cannot write {path}: {folder} is not a writable directory")
 
     def write_report(report, diverged: bool) -> None:
         doc = {

@@ -22,7 +22,14 @@ from .errors import (
     InvalidInputError,
     StratificationError,
 )
-from .numerics import Rng, as_matrix, make_rng, pair_distances, pairwise_euclidean
+from .numerics import (
+    Rng,
+    as_matrix,
+    make_rng,
+    pair_distances,
+    pairwise_euclidean,
+    sq_distances,
+)
 
 DEFAULT_PAIR_BUDGET = 2_000_000
 
@@ -250,20 +257,12 @@ def knn_evaluate(
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
     n_classes = int(labels.max()) + 1
     preds = np.empty(len(test), dtype=np.int64)
-    diffs = x[test][:, None, :] - x[train][None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=2))
+    dists = np.sqrt(sq_distances(x[test], x[train]))
     for t in range(len(test)):
-        order = np.lexsort((train, dists[t]))[:k]
-        votes = np.bincount(labels[train[order]], minlength=n_classes)
-        top = votes.max()
-        tied = np.flatnonzero(votes == top)
-        if len(tied) == 1:
-            preds[t] = tied[0]
-        else:
-            for neighbor in order:
-                if labels[train[neighbor]] in tied:
-                    preds[t] = labels[train[neighbor]]
-                    break
+        # train is sorted, so a stable sort orders by (distance, row index)
+        nearest = labels[train[np.argsort(dists[t], kind="stable")[:k]]]
+        votes = np.bincount(nearest, minlength=n_classes)
+        preds[t] = nearest[np.argmax(votes[nearest] == votes.max())]
     truth = labels[test]
     accuracy = float((preds == truth).mean())
     f1s = []
@@ -275,16 +274,11 @@ def knn_evaluate(
     return accuracy, float(np.mean(f1s))
 
 
-def _sq_dists_to(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diffs = x[:, None, :] - centers[None, :, :]
-    return (diffs * diffs).sum(axis=2)
-
-
 def _kmeanspp_init(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
+    d2 = sq_distances(x, centers[:1])[:, 0]
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -292,7 +286,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
         else:
             pick = int(rng.integers(n))  # all points already covered
         centers[c] = x[pick]
-        d2 = np.minimum(d2, ((x - centers[c]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, sq_distances(x, centers[c : c + 1])[:, 0])
     return centers
 
 
@@ -304,7 +298,7 @@ def _lloyd(
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     history: list[float] = []
     for _ in range(max_iter):
-        d2 = _sq_dists_to(x, centers)
+        d2 = sq_distances(x, centers)
         new_labels = d2.argmin(axis=1)
         # empty clusters: re-seed at the point farthest from its centroid
         counts = np.bincount(new_labels, minlength=k)
@@ -316,7 +310,7 @@ def _lloyd(
                 far = next(int(p) for p in cand if int(p) not in used)
                 used.add(far)
                 centers[c] = x[far]
-            d2 = _sq_dists_to(x, centers)
+            d2 = sq_distances(x, centers)
             new_labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(len(x)), new_labels].sum()))
         if np.array_equal(new_labels, labels):
@@ -326,7 +320,7 @@ def _lloyd(
             members = x[labels == c]
             if len(members):
                 centers[c] = members.mean(axis=0)
-    d2 = _sq_dists_to(x, centers)
+    d2 = sq_distances(x, centers)
     inertia = float(d2[np.arange(len(x)), labels].sum())
     return labels, inertia, history
 
@@ -353,38 +347,29 @@ def agglomerative(x, k: int) -> np.ndarray:
     """Bottom-up average-linkage clustering on Euclidean distances until k
     clusters remain. Deterministic: merge ties go to the smallest (i, j)
     pair; final cluster ids are assigned by ascending smallest member index.
+    The smallest-pair rule applies to the computed (Lance-Williams) linkage
+    values: a tie that earlier merges create in exact arithmetic can go
+    either way by rounding (see the README's "Statistics notes").
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
-    diffs = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=2))
+    dist = np.sqrt(sq_distances(x, x))
     np.fill_diagonal(dist, np.inf)
-    active = np.ones(n, dtype=bool)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members
     for _ in range(n - k):
-        flat = int(np.argmin(dist))  # first minimum = smallest (i, j) pair
-        i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
-        # average linkage via the unweighted-mean (Lance-Williams) update
-        others = active.copy()
-        others[[i, j]] = False
-        merged = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (
-            sizes[i] + sizes[j]
-        )
-        dist[i, others] = merged
-        dist[others, i] = merged
-        dist[j, :] = np.inf
+        i, j = divmod(int(np.argmin(dist)), n)  # first minimum: i < j
+        # average linkage via the Lance-Williams update; inf entries stay inf
+        merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[i] = merged
+        dist[:, i] = merged
+        dist[j] = np.inf
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
-        active[j] = False
         owner[owner == j] = i
-    roots = np.sort(np.flatnonzero(active))
-    relabel = {int(r): c for c, r in enumerate(roots)}
-    return np.asarray([relabel[int(r)] for r in owner], dtype=np.int64)
+    return np.unique(owner, return_inverse=True)[1]
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:

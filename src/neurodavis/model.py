@@ -116,8 +116,11 @@ class ModelConfig:
             raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
             raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.convergence is not None and self.convergence.window < 2:
+        conv = self.convergence
+        if conv is not None and conv.window < 2:
             raise InvalidConfigError("convergence window must be >= 2")
+        if conv is not None and not 0 <= conv.rel_tol < math.inf:
+            raise InvalidConfigError("convergence rel_tol must be finite and >= 0")
 
     def resolved_hidden(self, d: int) -> tuple[int, ...]:
         if self.hidden_widths is not None:
@@ -150,15 +153,6 @@ class ModelConfig:
                 "rel_tol": self.convergence.rel_tol,
             },
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        doc = dict(doc)
-        conv = doc.get("convergence")
-        doc["convergence"] = None if conv is None else Convergence(**conv)
-        hw = doc.get("hidden_widths")
-        doc["hidden_widths"] = None if hw is None else tuple(hw)
-        return cls(**doc)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,4 +1,8 @@
-"""Dense numerical substrate: seeded RNG, pairwise distances, spectral norm.
+"""Dense numerical substrate: seeded RNG, distances, spectral norm.
+
+One distance kernel per job, each working in blocks sized by ``_PAIR_CHUNK``:
+``pair_distances`` for listed row pairs, ``sq_distances`` for every row of
+one set against every row of another.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
@@ -78,6 +82,18 @@ def pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
         e = min(s + _PAIR_CHUNK, len(ii))
         diff = x[ii[s:e]] - x[jj[s:e]]
         out[s:e] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return out
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, rows of ``a`` by rows of ``b``, chunked."""
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    out = np.empty((len(a), len(b)))
+    step = max(1, _PAIR_CHUNK // max(len(b), 1))
+    for s in range(0, len(a), step):
+        diff = a[s : s + step, None, :] - b[None, :, :]
+        out[s : s + step] = (diff * diff).sum(axis=-1)
     return out
 
 

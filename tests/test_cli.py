@@ -137,12 +137,20 @@ class TestFit:
         assert self._fit(tmp_path, spiral_csv, extra=["--alpha", "nan"]) == 2
         assert "error: alpha, beta and learning_rate must be finite" in capsys.readouterr().err
 
+    def test_nan_rel_tol_exits_2(self, tmp_path, spiral_csv, capsys):
+        argv = ["fit", "--in", str(spiral_csv), "--epochs", "5", "--rel-tol", "nan"]
+        assert run(argv) == 2
+        assert "error: convergence rel_tol must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
+
     @pytest.mark.parametrize("flag", ["--out-report", "--out-model", "--out-embedding"])
     def test_unwritable_output_exits_2(self, tmp_path, spiral_csv, capsys, flag):
         target = tmp_path / "missing_dir" / "out"
         assert self._fit(tmp_path, spiral_csv, extra=[flag, str(target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(target) in err
+        # checked before training: no output of the run was written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
 
 
 class TestEval:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from neurodavis.errors import DegenerateInputError, InvalidInputError
 from neurodavis.metrics import (
     _lloyd,
+    _stratified_split,
     agglomerative,
     ari,
     centroid_distance_preservation,
@@ -145,6 +146,29 @@ def oracle_average_linkage(x, k):
     for cid, members in enumerate(sorted(clusters, key=min)):
         labels[members] = cid
     return labels
+
+
+def oracle_knn_scores(x, labels, k, split, rng):
+    """Brute-force k-NN on the split ``knn_evaluate`` draws: neighbours sorted
+    in Python by (squared distance, row index), exact on integer data; a vote
+    tie goes to the tied class that appears first in that order."""
+    train, test = _stratified_split(labels, split, rng)
+    preds = []
+    for t in test:
+        order = sorted(
+            train, key=lambda r: (sum((a - b) ** 2 for a, b in zip(x[t], x[r])), r)
+        )
+        votes = [labels[r] for r in order[:k]]
+        top = max(votes.count(c) for c in votes)
+        preds.append(next(c for c in votes if votes.count(c) == top))
+    truth = labels[test].tolist()
+    accuracy = sum(p == y for p, y in zip(preds, truth)) / len(truth)
+    f1s = []
+    for c in range(int(labels.max()) + 1):
+        tp = sum(p == c and y == c for p, y in zip(preds, truth))
+        wrong = sum((p == c) != (y == c) for p, y in zip(preds, truth))
+        f1s.append(0.0 if tp == 0 else 2 * tp / (2 * tp + wrong))
+    return accuracy, float(np.mean(f1s))
 
 
 # ---------------------------------------------------------------- tests
@@ -403,6 +427,20 @@ class TestKnn:
         with pytest.raises(InvalidInputError):
             knn_evaluate(x, np.repeat([0, 1], 5), k=9, split=0.8, rng=make_rng(0))
 
+    def test_matches_brute_force_on_integer_grid(self):
+        # a 4x4 grid of coordinates: equal distances and split votes everywhere,
+        # so both the (distance, row) order and the vote tie-break decide
+        for seed in range(60):
+            rng = make_rng(300 + seed)
+            n = int(rng.integers(15, 40))
+            x = rng.integers(0, 4, (n, 2)).astype(float)
+            labels = rng.integers(0, 3, n)
+            labels[:6] = [0, 1, 2, 0, 1, 2]
+            k = int(rng.integers(1, 7))
+            assert knn_evaluate(x, labels, k=k, rng=make_rng(seed)) == oracle_knn_scores(
+                x, labels, k, 0.8, make_rng(seed)
+            ), f"seed={seed} k={k}"
+
 
 class TestKmeans:
     def test_k_equals_n_zero_inertia(self):
@@ -479,6 +517,32 @@ class TestAgglomerative:
                 np.testing.assert_array_equal(
                     agglomerative(x, k), oracle_average_linkage(x, k), err_msg=f"n={n} k={k} seed={seed}"
                 )
+
+    GRID_FIXTURES = {
+        "square": [[0, 0], [1, 0], [0, 1], [1, 1]],
+        "line": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0], [5, 0]],
+        "reversed_line": [[5, 0], [4, 0], [3, 0], [2, 0], [1, 0], [0, 0]],
+        "plus": [[1, 1], [0, 1], [2, 1], [1, 0], [1, 2]],
+        "grid3": [[i, j] for i in range(3) for j in range(3)],
+        "two_squares": [[0, 0], [0, 1], [1, 0], [1, 1], [5, 0], [5, 1], [6, 0], [6, 1]],
+        "duplicates": [[0, 0], [0, 0], [1, 0], [1, 0], [3, 0], [3, 0]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRID_FIXTURES))
+    def test_singleton_ties_match_oracle(self, name):
+        # integer coordinates: tied distances between single points are exact
+        x = np.array(self.GRID_FIXTURES[name], dtype=float)
+        for k in range(1, len(x) + 1):
+            np.testing.assert_array_equal(
+                agglomerative(x, k), oracle_average_linkage(x, k), err_msg=f"k={k}"
+            )
+
+    def test_tie_after_merges_follows_computed_values(self):
+        # In exact arithmetic the last merge ties (0, 2) with (0, 7), and the
+        # smallest pair gives [0 0 0 0 0 0 0 1]. The running averages round
+        # apart, as documented, so (0, 7) merges instead.
+        x = np.array([[0, 1], [1, 0], [1, 2], [0, 0], [1, 2], [0, 2], [1, 1], [2, 1]])
+        np.testing.assert_array_equal(agglomerative(x, 2), [0, 0, 1, 0, 1, 1, 0, 0])
 
 
 class TestPairCountingIndices:

@@ -89,6 +89,10 @@ class TestConfig:
         for value in (nan, inf, 0.0, -1e-8):
             with pytest.raises(InvalidConfigError):
                 ModelConfig(adam_eps=value)
+        for value in (nan, inf, -inf, -1e-5):
+            with pytest.raises(InvalidConfigError):
+                ModelConfig(convergence=Convergence(window=5, rel_tol=value))
+        ModelConfig(convergence=Convergence(rel_tol=0.0))  # zero is valid
         ModelConfig(adam_beta1=0.0, adam_beta2=0.0)  # the closed ends are valid
 
     def test_auto_hidden_widths(self):
@@ -100,10 +104,6 @@ class TestConfig:
         a = ModelConfig(seed=1)
         assert a.config_hash() == ModelConfig(seed=1).config_hash()
         assert a.config_hash() != ModelConfig(seed=2).config_hash()
-
-    def test_round_trip_dict(self):
-        cfg = ModelConfig(hidden_widths=(8, 4), convergence=None, seed=9)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestInitModel:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from neurodavis import numerics
 from neurodavis.errors import InvalidInputError
 from neurodavis.numerics import (
     make_rng,
     pair_distances,
     pairwise_euclidean,
     spectral_norm,
+    sq_distances,
 )
 
 
@@ -127,6 +129,39 @@ class TestPairwiseEuclidean:
         x = make_rng(2).standard_normal((9, 3))
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_array_equal(pair_distances(x, ii, jj), d)
+
+
+class TestSqDistances:
+    @staticmethod
+    def broadcast(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return (diff * diff).sum(axis=-1)
+
+    def test_bitwise_equal_to_broadcast_across_blocks(self):
+        rng = make_rng(3)
+        a = rng.standard_normal((1000, 3))
+        b = rng.standard_normal((700, 3))
+        assert numerics._PAIR_CHUNK // len(b) < len(a)  # several row blocks
+        got = sq_distances(a, b)
+        assert got.shape == (1000, 700)
+        assert got.tobytes() == self.broadcast(a, b).tobytes()
+
+    def test_row_wider_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_PAIR_CHUNK", 5)  # one row per block
+        rng = make_rng(4)
+        a = np.round(rng.standard_normal((11, 9)) * 3)
+        b = rng.standard_normal((7, 9))
+        assert sq_distances(a, b).tobytes() == self.broadcast(a, b).tobytes()
+
+    def test_empty_sides(self):
+        assert sq_distances(np.zeros((0, 2)), np.zeros((4, 2))).shape == (0, 4)
+        assert sq_distances(np.zeros((3, 2)), np.zeros((0, 2))).shape == (3, 0)
+
+    def test_agrees_with_pair_distances(self):
+        # pair_distances reduces with einsum, so the last bit may differ
+        x = make_rng(5).standard_normal((30, 4))
+        ii, jj, d = pairwise_euclidean(x)
+        np.testing.assert_allclose(np.sqrt(sq_distances(x, x)[ii, jj]), d, rtol=1e-15)
 
 
 class TestSpectralNorm:
