@@ -355,7 +355,8 @@ def agglomerative(x, k: int) -> np.ndarray:
     n = x.shape[0]
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
-    dist = np.sqrt(sq_distances(x, x))
+    dist = sq_distances(x, x)
+    np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members

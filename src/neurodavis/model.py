@@ -297,10 +297,9 @@ def _check_indices(model: Model, batch_indices) -> np.ndarray:
     return idx
 
 
-def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
-    """Forward pass for the given sample indices: table lookup at the latent
-    layer, affine + ReLU through hidden layers, affine (linear) output."""
-    idx = _check_indices(model, batch_indices)
+def _forward(model: Model, idx: np.ndarray):
+    """(latent, hidden pre-activations, hidden activations, recon) for
+    already-validated indices."""
     latent = model.latent_table[idx]
     h = latent
     hidden_pre, hidden_act = [], []
@@ -309,14 +308,14 @@ def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
         h = np.maximum(a, 0.0)
         hidden_pre.append(a)
         hidden_act.append(h)
-    recon = h @ model.recon.w + model.recon.b
-    return ForwardTrace(
-        batch_indices=idx,
-        latent=latent,
-        hidden_pre=hidden_pre,
-        hidden_act=hidden_act,
-        recon=recon,
-    )
+    return latent, hidden_pre, hidden_act, h @ model.recon.w + model.recon.b
+
+
+def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
+    """Forward pass for the given sample indices: table lookup at the latent
+    layer, affine + ReLU through hidden layers, affine (linear) output."""
+    idx = _check_indices(model, batch_indices)
+    return ForwardTrace(idx, *_forward(model, idx))
 
 
 def loss(
@@ -324,6 +323,7 @@ def loss(
     x_batch: np.ndarray,
     model: Model,
     config: ModelConfig,
+    _checked: bool = False,
 ) -> LossTerms:
     """Objective terms for one batch; see the module docstring for the exact
     formula. ``total`` is the exact sum of the three components.
@@ -331,13 +331,15 @@ def loss(
     The terms are computed in the parameters' dtype and never rounded below
     it: a float64 model gets Python floats, a ``np.longdouble`` model gets
     ``np.longdouble`` scalars (which the finite-difference gradient oracle
-    relies on)."""
-    x_batch = as_matrix(x_batch, "x_batch")
-    if x_batch.shape != trace.recon.shape:
-        raise InvalidInputError(
-            f"x_batch shape {x_batch.shape} does not match "
-            f"reconstruction {trace.recon.shape}"
-        )
+    relies on). ``_checked`` is private to :func:`fit`, whose data is
+    validated once before training."""
+    if not _checked:
+        x_batch = as_matrix(x_batch, "x_batch")
+        if x_batch.shape != trace.recon.shape:
+            raise InvalidInputError(
+                f"x_batch shape {x_batch.shape} does not match "
+                f"reconstruction {trace.recon.shape}"
+            )
     m = len(trace.batch_indices)
     resid = x_batch - trace.recon
     recon_term = ((resid * resid).sum() / m).item()
@@ -361,27 +363,55 @@ def _unit_rows(h: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Workspace:
+    """Buffers reused by the training steps of one :func:`fit`: the flat
+    gradient vector with its named views, two theta-sized scratch vectors for
+    Adam, and the latent rows the last :func:`gradients` call wrote."""
+
+    def __init__(self, model: Model):
+        self.grad = np.zeros_like(model.theta)
+        self.views = model.views(self.grad)
+        self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
+        self.rows: np.ndarray | None = None
+
+
 def gradients(
     model: Model,
     batch_indices: Sequence[int],
     x_batch: np.ndarray,
     config: ModelConfig,
+    _ws: _Workspace | None = None,
 ) -> np.ndarray:
     """Analytic gradients of :func:`loss` for the batch, as one vector laid
     out like ``model.theta`` (``model.views`` names its parts). Latent rows
     outside the batch get exactly zero. ReLU and L2-norm subgradients at
-    zero are zero."""
-    trace = forward(model, batch_indices)
-    x_batch = as_matrix(x_batch, "x_batch")
-    if x_batch.shape != trace.recon.shape:
-        raise InvalidInputError("x_batch shape does not match batch")
-    idx = trace.batch_indices
-    m = len(idx)
-    flat = np.zeros_like(model.theta)
-    grads = model.views(flat)
+    zero are zero. Batch indices must be distinct.
 
-    d_out = (2.0 / m) * (trace.recon - x_batch)  # d recon_term / d recon
-    below = trace.hidden_act[-1] if model.hidden else trace.latent
+    ``_ws`` is private to :func:`fit`, which passes validated, distinct
+    indices and a float64 batch. Then the returned vector is the workspace's
+    reused buffer, valid only until the next step; without it the inputs are
+    validated and the vector is freshly allocated."""
+    if _ws is None:
+        idx = _check_indices(model, batch_indices)
+        if np.unique(idx).size != idx.size:
+            raise InvalidInputError("batch_indices must be distinct")
+        x_batch = as_matrix(x_batch, "x_batch")
+        if x_batch.shape != (idx.size, model.d):
+            raise InvalidInputError("x_batch shape does not match batch")
+        _ws = _Workspace(model)
+    else:
+        idx = batch_indices
+    latent, hidden_pre, hidden_act, recon = _forward(model, idx)
+    m = len(idx)
+    flat, grads = _ws.grad, _ws.views
+    # Every other entry is overwritten below; only the latent rows of the
+    # previous batch can be nonzero.
+    if _ws.rows is not None:
+        grads["latent_table"][_ws.rows] = 0.0
+    _ws.rows = idx
+
+    d_out = (2.0 / m) * (recon - x_batch)  # d recon_term / d recon
+    below = hidden_act[-1] if model.hidden else latent
     grads["recon.w"][...] = below.T @ d_out
     grads["recon.b"][...] = d_out.sum(axis=0)
     d_h = d_out @ model.recon.w.T
@@ -389,9 +419,9 @@ def gradients(
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
         if config.alpha:
-            d_h = d_h + config.alpha * _unit_rows(trace.hidden_act[li])
-        d_a = d_h * (trace.hidden_pre[li] > 0.0)
-        below = trace.hidden_act[li - 1] if li > 0 else trace.latent
+            d_h = d_h + config.alpha * _unit_rows(hidden_act[li])
+        d_a = d_h * (hidden_pre[li] > 0.0)
+        below = hidden_act[li - 1] if li > 0 else latent
         grads[f"hidden{li}.w"][...] = below.T @ d_a
         if config.beta:
             fro = float(np.linalg.norm(layer.w))
@@ -401,13 +431,12 @@ def gradients(
         d_h = d_a @ layer.w.T
 
     if config.alpha:
-        d_h = d_h + config.alpha * _unit_rows(trace.latent)
+        d_h = d_h + config.alpha * _unit_rows(latent)
     if config.beta:
-        sub = model.latent_table[idx]
-        fro = float(np.linalg.norm(sub))
+        fro = float(np.linalg.norm(latent))
         if fro > 0:
-            d_h = d_h + config.beta * sub / fro
-    np.add.at(grads["latent_table"], idx, d_h)
+            d_h = d_h + config.beta * latent / fro
+    grads["latent_table"][idx] = d_h
     return flat
 
 
@@ -415,21 +444,34 @@ def adam_step(
     model: Model,
     grads: np.ndarray,
     config: ModelConfig,
+    _ws: _Workspace | None = None,
 ) -> Model:
     """One Adam update with bias correction over the whole parameter vector,
     in place; returns the model. Parameters with exactly zero gradient and
-    zero moments are unchanged."""
+    zero moments are unchanged. ``_ws`` is private to :func:`fit` and lends
+    its scratch vectors; without it two are allocated."""
+    a, b = (_Workspace(model) if _ws is None else _ws).scratch
     model.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**model.t
     c2 = 1.0 - b2**model.t
     lr, eps = config.learning_rate, config.adam_eps
     m, v = model.m, model.v
+    # theta -= lr * (m / c1) / (sqrt(v / c2) + eps), operation for operation
     m *= b1
-    m += (1.0 - b1) * grads
+    np.multiply(grads, 1.0 - b1, out=a)
+    m += a
     v *= b2
-    v += (1.0 - b2) * (grads * grads)
-    model.theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - b2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    model.theta -= a
     return model
 
 
@@ -444,6 +486,7 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
     x = as_matrix(x, "x")
     n, d = x.shape
     model = init_model(config, n, d)
+    ws = _Workspace(model)
     batch = config.resolved_batch_size(n)
     shuffle_rng = spawn_rng(config.seed, 1)  # distinct stream from init
     report = TrainReport(total=[], recon=[], activity=[], weights=[])
@@ -453,9 +496,9 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
         perm = shuffle_rng.permutation(n)
         for s in range(0, n, batch):
             idx = perm[s : s + batch]
-            grads = gradients(model, idx, x[idx], config)
-            adam_step(model, grads, config)
-        terms = loss(forward(model, all_idx), x, model, config)
+            grads = gradients(model, idx, x[idx], config, ws)
+            adam_step(model, grads, config, ws)
+        terms = loss(forward(model, all_idx), x, model, config, _checked=True)
         report.total.append(terms.total)
         report.recon.append(terms.recon_term)
         report.activity.append(terms.activity_term)

@@ -94,30 +94,41 @@ class TestFit:
         self._fit(tmp_path, spiral_csv)
         assert (tmp_path / "e.csv").read_bytes() == first
 
-    def test_processes_with_equal_thread_count_bit_identical(self, tmp_path, spiral_csv):
-        # The contract is (seed, BLAS thread count, numpy build); BLAS reads
-        # its thread count when numpy loads it, so each run is a fresh process.
+    def _fit_process(self, out, csv_path, threads):
+        """Embedding bytes of a CLI fit in a fresh interpreter whose BLAS
+        thread count is set before it starts (BLAS reads it when numpy
+        loads it)."""
         src = str(Path(neurodavis.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        outputs = []
-        for run_dir in ("a", "b"):
-            out = tmp_path / run_dir
-            out.mkdir()
-            argv = [
-                sys.executable, "-m", "neurodavis.cli", "fit",
-                "--in", str(spiral_csv),
-                "--label-col", "label",
-                "--epochs", "20",
-                "--no-early-stop",
-                "--out-model", str(out / "m.json"),
-                "--out-embedding", str(out / "e.csv"),
-                "--out-report", str(out / "r.json"),
-            ]
-            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
-            outputs.append((out / "e.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+            env[var] = threads
+        out.mkdir()
+        argv = [
+            sys.executable, "-m", "neurodavis.cli", "fit",
+            "--in", str(csv_path),
+            "--label-col", "label",
+            "--epochs", "20",
+            "--no-early-stop",
+            "--out-model", str(out / "m.json"),
+            "--out-embedding", str(out / "e.csv"),
+            "--out-report", str(out / "r.json"),
+        ]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+        return (out / "e.csv").read_bytes()
+
+    def test_processes_with_equal_thread_count_bit_identical(self, tmp_path, spiral_csv):
+        # The contract is (seed, BLAS thread count, numpy build).
+        a = self._fit_process(tmp_path / "a", spiral_csv, "1")
+        b = self._fit_process(tmp_path / "b", spiral_csv, "1")
+        assert a == b
+
+    def test_one_and_two_blas_threads_bit_identical(self, tmp_path, spiral_csv):
+        # At default widths ((16, 16) for 2-D data) the products are too
+        # small for BLAS to split across threads.
+        a = self._fit_process(tmp_path / "one", spiral_csv, "1")
+        b = self._fit_process(tmp_path / "two", spiral_csv, "2")
+        assert a == b
+
 
     def test_divergence_exits_3_with_report(self, tmp_path, spiral_csv):
         with np.errstate(over="ignore", invalid="ignore"):

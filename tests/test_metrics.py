@@ -195,6 +195,18 @@ class TestRanksAndCorrelation:
         a = [1.0, 2.0, 5.0, 9.0]
         assert spearman_rho(a, a[::-1]) == pytest.approx(-1.0)
 
+    def test_spearman_matches_scipy_on_tie_heavy_draws(self):
+        stats = pytest.importorskip("scipy.stats")
+        for seed in range(100):
+            rng = make_rng(seed)
+            m = int(rng.integers(2, 60))
+            a = rng.integers(0, int(rng.integers(2, 8)), m).astype(float)
+            b = rng.integers(0, 4, m).astype(float)
+            if np.ptp(a) == 0 or np.ptp(b) == 0:
+                continue  # constant input: no correlation is defined
+            ref = stats.spearmanr(a, b).statistic
+            assert spearman_rho(a, b) == pytest.approx(ref, abs=1e-15), seed
+
     def test_spearman_ties_vs_oracle(self):
         a = (1.0, 2.0, 2.0, 4.0)
         b = (10.0, 20.0, 30.0, 40.0)
@@ -278,6 +290,19 @@ class TestMannWhitney:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             mann_whitney_u([], [1.0])
+
+    def test_matches_scipy_on_tie_heavy_draws(self):
+        stats = pytest.importorskip("scipy.stats")
+        for seed in range(100):
+            rng = make_rng(seed)
+            n1, n2 = rng.integers(1, 40, size=2)
+            high = int(rng.integers(1, 8))  # 1: every value tied
+            a = rng.integers(0, high, n1).astype(float)
+            b = rng.integers(0, high, n2).astype(float)
+            u, p = mann_whitney_u(a, b)
+            ref = stats.mannwhitneyu(a, b, method="asymptotic", use_continuity=True)
+            assert u == ref.statistic, seed
+            assert p == pytest.approx(ref.pvalue, abs=1e-15), seed
 
 
 class TestDistancePreservation:

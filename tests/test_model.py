@@ -12,6 +12,7 @@ from neurodavis.model import (
     Convergence,
     Model,
     ModelConfig,
+    _Workspace,
     adam_step,
     embed,
     fit,
@@ -21,7 +22,7 @@ from neurodavis.model import (
     loss,
     save_checkpoint,
 )
-from neurodavis.numerics import make_rng
+from neurodavis.numerics import make_rng, spawn_rng
 
 
 def straight_line_forward(model, idx):
@@ -290,6 +291,30 @@ class TestGradients:
         assert np.all(grads["latent_table"][outside] == 0.0)
         assert np.any(grads["latent_table"][batch] != 0.0)
 
+    def test_workspace_zeroes_stale_latent_rows(self):
+        # fit reuses one gradient buffer; the rows the previous batch wrote
+        # must read zero in the next step's vector
+        cfg = ModelConfig(seed=2, alpha=1e-3, beta=1e-3, hidden_widths=(4,))
+        model = init_model(cfg, 10, 3)
+        x = make_rng(2).standard_normal((10, 3))
+        ws = _Workspace(model)
+        first, second = np.array([1, 4, 6]), np.array([0, 7, 8, 9])
+        grads = gradients(model, first, x[first], cfg, ws)
+        assert np.all(model.views(grads)["latent_table"][first] != 0.0)
+        adam_step(model, grads, cfg, ws)
+        expected = gradients(model, second, x[second], cfg)
+        grads = gradients(model, second, x[second], cfg, ws)
+        outside = np.setdiff1d(np.arange(10), second)
+        assert np.all(model.views(grads)["latent_table"][outside] == 0.0)
+        assert grads.tobytes() == expected.tobytes()
+
+    def test_duplicate_indices_rejected(self):
+        cfg = ModelConfig(seed=2, hidden_widths=(4,))
+        model = init_model(cfg, 5, 3)
+        x = make_rng(2).standard_normal((5, 3))
+        with pytest.raises(InvalidInputError, match="distinct"):
+            gradients(model, [1, 3, 1], x[[1, 3, 1]], cfg)
+
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1e-3, 0.0), (1e-3, 1e-3)])
     @pytest.mark.parametrize("widths", [(), (5,), (4, 3)])
     def test_matches_finite_differences(self, alpha, beta, widths):
@@ -362,6 +387,33 @@ class TestAdam:
 
 
 class TestFit:
+    @pytest.mark.parametrize(
+        "widths,alpha,beta,batch_size",
+        [(None, 1e-6, 1e-4, None), ((), 1e-6, 1e-4, None), (None, 0.0, 0.0, None),
+         ((5, 4), 1e-3, 1e-3, 7)],
+        ids=["default", "no-hidden", "no-regularizers", "partial-batch"],
+    )
+    def test_matches_public_step_loop(self, widths, alpha, beta, batch_size):
+        # fit's reused workspace must train exactly as the public gradients
+        # and adam_step do with fresh buffers, replayed over fit's shuffles
+        x = make_rng(5).standard_normal((128, 3))  # batch 64 divides, 7 does not
+        cfg = ModelConfig(
+            hidden_widths=widths, alpha=alpha, beta=beta, batch_size=batch_size,
+            epochs=4, seed=11, convergence=None,
+        )
+        model, _ = fit(x, cfg)
+        replay = init_model(cfg, *x.shape)
+        batch = cfg.resolved_batch_size(len(x))
+        shuffle_rng = spawn_rng(cfg.seed, 1)
+        for _ in range(cfg.epochs):
+            perm = shuffle_rng.permutation(len(x))
+            for s in range(0, len(x), batch):
+                idx = perm[s : s + batch]
+                adam_step(replay, gradients(replay, idx, x[idx], cfg), cfg)
+        assert replay.t == model.t
+        for name in ("theta", "m", "v"):
+            assert getattr(replay, name).tobytes() == getattr(model, name).tobytes(), name
+
     def test_single_sample_fits_exactly(self):
         cfg = ModelConfig(
             latent_dim=1,
