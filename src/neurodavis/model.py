@@ -323,7 +323,6 @@ def loss(
     x_batch: np.ndarray,
     model: Model,
     config: ModelConfig,
-    _checked: bool = False,
 ) -> LossTerms:
     """Objective terms for one batch; see the module docstring for the exact
     formula. ``total`` is the exact sum of the three components.
@@ -331,15 +330,13 @@ def loss(
     The terms are computed in the parameters' dtype and never rounded below
     it: a float64 model gets Python floats, a ``np.longdouble`` model gets
     ``np.longdouble`` scalars (which the finite-difference gradient oracle
-    relies on). ``_checked`` is private to :func:`fit`, whose data is
-    validated once before training."""
-    if not _checked:
-        x_batch = as_matrix(x_batch, "x_batch")
-        if x_batch.shape != trace.recon.shape:
-            raise InvalidInputError(
-                f"x_batch shape {x_batch.shape} does not match "
-                f"reconstruction {trace.recon.shape}"
-            )
+    relies on)."""
+    x_batch = as_matrix(x_batch, "x_batch")
+    if x_batch.shape != trace.recon.shape:
+        raise InvalidInputError(
+            f"x_batch shape {x_batch.shape} does not match "
+            f"reconstruction {trace.recon.shape}"
+        )
     m = len(trace.batch_indices)
     resid = x_batch - trace.recon
     recon_term = ((resid * resid).sum() / m).item()
@@ -385,16 +382,15 @@ def gradients(
     """Analytic gradients of :func:`loss` for the batch, as one vector laid
     out like ``model.theta`` (``model.views`` names its parts). Latent rows
     outside the batch get exactly zero. ReLU and L2-norm subgradients at
-    zero are zero. Batch indices must be distinct.
+    zero are zero. A repeated index sums the gradients of its copies.
 
     ``_ws`` is private to :func:`fit`, which passes validated, distinct
     indices and a float64 batch. Then the returned vector is the workspace's
     reused buffer, valid only until the next step; without it the inputs are
     validated and the vector is freshly allocated."""
-    if _ws is None:
+    fresh = _ws is None
+    if fresh:
         idx = _check_indices(model, batch_indices)
-        if np.unique(idx).size != idx.size:
-            raise InvalidInputError("batch_indices must be distinct")
         x_batch = as_matrix(x_batch, "x_batch")
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
@@ -436,7 +432,10 @@ def gradients(
         fro = float(np.linalg.norm(latent))
         if fro > 0:
             d_h = d_h + config.beta * latent / fro
-    grads["latent_table"][idx] = d_h
+    if fresh:
+        np.add.at(grads["latent_table"], idx, d_h)
+    else:  # one permutation's slice: distinct rows, plain assignment
+        grads["latent_table"][idx] = d_h
     return flat
 
 
@@ -450,7 +449,10 @@ def adam_step(
     in place; returns the model. Parameters with exactly zero gradient and
     zero moments are unchanged. ``_ws`` is private to :func:`fit` and lends
     its scratch vectors; without it two are allocated."""
-    a, b = (_Workspace(model) if _ws is None else _ws).scratch
+    if _ws is None:
+        a, b = np.empty_like(model.theta), np.empty_like(model.theta)
+    else:
+        a, b = _ws.scratch
     model.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     c1 = 1.0 - b1**model.t
@@ -498,7 +500,7 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
             idx = perm[s : s + batch]
             grads = gradients(model, idx, x[idx], config, ws)
             adam_step(model, grads, config, ws)
-        terms = loss(forward(model, all_idx), x, model, config, _checked=True)
+        terms = loss(forward(model, all_idx), x, model, config)
         report.total.append(terms.total)
         report.recon.append(terms.recon_term)
         report.activity.append(terms.activity_term)

@@ -308,12 +308,16 @@ class TestGradients:
         assert np.all(model.views(grads)["latent_table"][outside] == 0.0)
         assert grads.tobytes() == expected.tobytes()
 
-    def test_duplicate_indices_rejected(self):
-        cfg = ModelConfig(seed=2, hidden_widths=(4,))
+    def test_repeated_indices_sum_their_copies(self):
+        # the loss counts each copy of a repeated row, so its gradient sums
+        cfg = ModelConfig(seed=2, alpha=1e-3, beta=1e-3, hidden_widths=(4,))
         model = init_model(cfg, 5, 3)
+        model.latent_table[...] = make_rng(4).standard_normal((5, 2))
         x = make_rng(2).standard_normal((5, 3))
-        with pytest.raises(InvalidInputError, match="distinct"):
-            gradients(model, [1, 3, 1], x[[1, 3, 1]], cfg)
+        batch = np.array([1, 3, 1])
+        analytic = gradients(model, batch, x[batch], cfg)
+        numeric = finite_difference(model, batch, x[batch], cfg)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1e-3, 0.0), (1e-3, 1e-3)])
     @pytest.mark.parametrize("widths", [(), (5,), (4, 3)])
