@@ -43,9 +43,13 @@ class Dataset:
                     f"labels length {self.labels.shape} does not match "
                     f"{self.x.shape[0]} rows"
                 )
-            classes = np.unique(self.labels)
-            if len(classes) and not np.array_equal(
-                classes, np.arange(len(classes))
+            # dense from 0: no id below 0, none past n - 1 (checked before
+            # bincount allocates max + 1 counters), and no id left unused
+            labels = self.labels
+            if labels.size and (
+                labels.min() < 0
+                or labels.max() >= labels.size
+                or not np.bincount(labels).all()
             ):
                 raise InvalidInputError("class ids must be dense from 0")
         if self.feature_names is not None and len(self.feature_names) != self.x.shape[1]:

@@ -193,9 +193,7 @@ class Model:
     recon: Layer = field(init=False, repr=False)
 
     def __post_init__(self):
-        table, *arrays = self.views(self.theta).values()
-        layers = [Layer(w=w, b=b) for w, b in zip(arrays[::2], arrays[1::2])]
-        self.latent_table, self.hidden, self.recon = table, layers[:-1], layers[-1]
+        self.latent_table, self.hidden, self.recon = _split_layers(self, self.theta)
 
     @property
     def n(self) -> int:
@@ -220,6 +218,14 @@ class Model:
         """Copy with the parameters and Adam moments cast to ``dtype``."""
         cast = [a.astype(dtype) for a in (self.theta, self.m, self.v)]
         return Model(self.dims, *cast, t=self.t)
+
+
+def _split_layers(model: Model, flat: np.ndarray):
+    """(latent table, hidden layers, reconstruction layer) as views into
+    ``flat``, a vector laid out like ``model.theta``."""
+    table, *arrays = model.views(flat).values()
+    layers = [Layer(w=w, b=b) for w, b in zip(arrays[::2], arrays[1::2])]
+    return table, layers[:-1], layers[-1]
 
 
 @dataclass
@@ -300,15 +306,18 @@ def _check_indices(model: Model, batch_indices) -> np.ndarray:
 def _forward(model: Model, idx: np.ndarray):
     """(latent, hidden pre-activations, hidden activations, recon) for
     already-validated indices."""
-    latent = model.latent_table[idx]
+    latent = model.latent_table.take(idx, axis=0)
     h = latent
     hidden_pre, hidden_act = [], []
     for layer in model.hidden:
-        a = h @ layer.w + layer.b
+        a = h @ layer.w
+        a += layer.b
         h = np.maximum(a, 0.0)
         hidden_pre.append(a)
         hidden_act.append(h)
-    return latent, hidden_pre, hidden_act, h @ model.recon.w + model.recon.b
+    recon = h @ model.recon.w
+    recon += model.recon.b
+    return latent, hidden_pre, hidden_act, recon
 
 
 def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
@@ -344,30 +353,41 @@ def loss(
     for h in (trace.latent, *trace.hidden_act):
         activity += np.sqrt((h * h).sum(axis=1)).sum().item()
     activity_term = config.alpha * activity
-    wsum = np.linalg.norm(model.latent_table[trace.batch_indices]).item()
+    wsum = _frobenius(trace.latent).item()  # the batch's latent rows
     for layer in model.hidden:
-        wsum += np.linalg.norm(layer.w).item()
+        wsum += _frobenius(layer.w).item()
     weight_term = config.beta * wsum
     total = recon_term + activity_term + weight_term
     return LossTerms(total, recon_term, activity_term, weight_term)
 
 
+def _frobenius(a: np.ndarray):
+    """Frobenius norm in ``a``'s dtype: the ``sqrt(f.dot(f))`` that
+    ``np.linalg.norm`` runs, without its argument handling."""
+    f = a.ravel()
+    return np.sqrt(f.dot(f))
+
+
 def _unit_rows(h: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm; zero rows stay zero (subgradient choice)."""
-    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
-    out = np.zeros_like(h)
-    np.divide(h, norms, out=out, where=norms > 0)
-    return out
+    """Rows scaled to unit norm, in a fresh array; rows whose norm is zero,
+    underflows to zero or is NaN come out zero (subgradient choice)."""
+    sq = h * h
+    norms = np.add.reduce(sq, 1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    if norms.min() > 0:  # False for any NaN norm
+        return np.divide(h, norms, out=sq)
+    sq.fill(0.0)
+    return np.divide(h, norms, out=sq, where=norms > 0)
 
 
 class _Workspace:
     """Buffers reused by the training steps of one :func:`fit`: the flat
-    gradient vector with its named views, two theta-sized scratch vectors for
-    Adam, and the latent rows the last :func:`gradients` call wrote."""
+    gradient vector with its per-layer views, two theta-sized scratch vectors
+    for Adam, and the latent rows the last :func:`gradients` call wrote."""
 
     def __init__(self, model: Model):
         self.grad = np.zeros_like(model.theta)
-        self.views = model.views(self.grad)
+        self.latent, self.hidden, self.recon = _split_layers(model, self.grad)
         self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
         self.rows: np.ndarray | None = None
 
@@ -398,45 +418,55 @@ def gradients(
     else:
         idx = batch_indices
     latent, hidden_pre, hidden_act, recon = _forward(model, idx)
-    m = len(idx)
-    flat, grads = _ws.grad, _ws.views
+    alpha, beta = config.alpha, config.beta
     # Every other entry is overwritten below; only the latent rows of the
     # previous batch can be nonzero.
     if _ws.rows is not None:
-        grads["latent_table"][_ws.rows] = 0.0
+        _ws.latent[_ws.rows] = 0.0
     _ws.rows = idx
 
-    d_out = (2.0 / m) * (recon - x_batch)  # d recon_term / d recon
+    # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
+    d_out = np.subtract(recon, x_batch, out=recon)
+    d_out *= 2.0 / len(idx)
     below = hidden_act[-1] if model.hidden else latent
-    grads["recon.w"][...] = below.T @ d_out
-    grads["recon.b"][...] = d_out.sum(axis=0)
+    np.matmul(below.T, d_out, out=_ws.recon.w)
+    np.add.reduce(d_out, 0, out=_ws.recon.b)
     d_h = d_out @ model.recon.w.T
 
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
-        if config.alpha:
-            d_h = d_h + config.alpha * _unit_rows(hidden_act[li])
-        d_a = d_h * (hidden_pre[li] > 0.0)
+        if alpha:
+            u = _unit_rows(hidden_act[li])
+            u *= alpha
+            d_h += u
+        np.multiply(d_h, hidden_pre[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
         below = hidden_act[li - 1] if li > 0 else latent
-        grads[f"hidden{li}.w"][...] = below.T @ d_a
-        if config.beta:
-            fro = float(np.linalg.norm(layer.w))
+        grad = _ws.hidden[li]
+        np.matmul(below.T, d_h, out=grad.w)
+        if beta:
+            fro = float(_frobenius(layer.w))
             if fro > 0:
-                grads[f"hidden{li}.w"] += config.beta * layer.w / fro
-        grads[f"hidden{li}.b"][...] = d_a.sum(axis=0)
-        d_h = d_a @ layer.w.T
+                u = beta * layer.w
+                u /= fro
+                grad.w += u
+        np.add.reduce(d_h, 0, out=grad.b)
+        d_h = d_h @ layer.w.T
 
-    if config.alpha:
-        d_h = d_h + config.alpha * _unit_rows(latent)
-    if config.beta:
-        fro = float(np.linalg.norm(latent))
+    if alpha:
+        u = _unit_rows(latent)
+        u *= alpha
+        d_h += u
+    if beta:
+        fro = float(_frobenius(latent))
         if fro > 0:
-            d_h = d_h + config.beta * latent / fro
+            latent *= beta  # last use of the gathered rows
+            latent /= fro
+            d_h += latent
     if fresh:
-        np.add.at(grads["latent_table"], idx, d_h)
+        np.add.at(_ws.latent, idx, d_h)
     else:  # one permutation's slice: distinct rows, plain assignment
-        grads["latent_table"][idx] = d_h
-    return flat
+        _ws.latent[idx] = d_h
+    return _ws.grad
 
 
 def adam_step(

@@ -91,9 +91,13 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_matrix(b, "b")
     out = np.empty((len(a), len(b)))
     step = max(1, _PAIR_CHUNK // max(len(b), 1))
+    # one block buffer for the whole call, squared in place
+    buf = np.empty((min(step, len(a)), len(b), a.shape[1]))
     for s in range(0, len(a), step):
-        diff = a[s : s + step, None, :] - b[None, :, :]
-        out[s : s + step] = (diff * diff).sum(axis=-1)
+        e = min(s + step, len(a))
+        diff = np.subtract(a[s:e, None, :], b[None, :, :], out=buf[: e - s])
+        np.multiply(diff, diff, out=diff)
+        out[s:e] = diff.sum(axis=-1)
     return out
 
 

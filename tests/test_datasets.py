@@ -173,3 +173,22 @@ class TestDatasetValidation:
     def test_labels_must_be_dense(self):
         with pytest.raises(InvalidInputError):
             Dataset(np.ones((3, 2)), labels=[0, 2, 2])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, -1, 1], [-1, -1, -1], [1, 1, 1], [0, 2, 0], [0, 3, 1], [0, 1, 10**12]],
+        ids=["negative", "all-negative", "no-zero", "gap", "past-n", "huge"],
+    )
+    def test_rejects_non_dense_ids(self, labels):
+        # a huge id must be rejected by the bound, not by counting up to it
+        with pytest.raises(InvalidInputError, match="dense"):
+            Dataset(np.ones((3, 2)), labels=labels)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0], [2, 0, 1], [1, 0, 1]])
+    def test_accepts_dense_ids(self, labels):
+        ds = Dataset(np.ones((3, 2)), labels=labels)
+        assert ds.n_classes == max(labels) + 1
+
+    def test_accepts_no_rows(self):
+        ds = Dataset(np.ones((0, 2)), labels=[])
+        assert ds.labels.shape == (0,)

@@ -1,6 +1,7 @@
 """One distance kernel per job: only ``numerics.py`` subtracts two row sets
-broadcast against each other (``a[:, None, :] - b[None, :, :]``). Every other
-module reads its distances from ``numerics``."""
+broadcast against each other (``a[:, None, :] - b[None, :, :]``, or the same
+through ``np.subtract``). Every other module reads its distances from
+``numerics``."""
 
 import ast
 from pathlib import Path
@@ -23,15 +24,25 @@ def _broadcast(node: ast.AST) -> bool:
     )
 
 
+def _operands(node: ast.AST) -> list[ast.AST]:
+    """The two operands of ``a - b`` or ``np.subtract(a, b, ...)``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        return [node.left, node.right]
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "subtract"
+    ):
+        return node.args[:2]
+    return []
+
+
 def row_set_differences(source: str) -> list[int]:
     """Line numbers of subtractions whose two operands are both broadcast."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Sub)
-        and _broadcast(node.left)
-        and _broadcast(node.right)
+        if len(ops := _operands(node)) == 2 and all(map(_broadcast, ops))
     ]
 
 
@@ -40,6 +51,9 @@ def test_detector():
     assert row_set_differences("d = x[t][:, None] - x[None]") == [1]
     assert row_set_differences("d = a[:, np.newaxis] - b[np.newaxis]") == [1]
     assert row_set_differences("d = a[ii] - a[jj]\nd = a - b[None]") == []
+    assert row_set_differences("np.subtract(a[:, None], b[None], out=o)") == [1]
+    assert row_set_differences("d = subtract(x[t][:, None], x[None])") == [1]
+    assert row_set_differences("np.subtract(a, b[None], out=o)") == []
 
 
 def test_only_numerics_builds_row_set_differences():

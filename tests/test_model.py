@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from neurodavis.model import (
     Model,
     ModelConfig,
     _Workspace,
+    _unit_rows,
     adam_step,
     embed,
     fit,
@@ -64,6 +66,64 @@ def finite_difference(model, idx, x_batch, config, step=1e-6):
 def zero_model(model):
     model.theta[...] = 0.0
     return model
+
+
+def reference_unit_rows(h):
+    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    out = np.zeros_like(h)
+    np.divide(h, norms, out=out, where=norms > 0)
+    return out
+
+
+def reference_gradients(model, idx, x_batch, cfg):
+    """The training step's gradient formulas written plainly, one fresh array
+    per operation, for a batch of distinct indices."""
+    latent = model.latent_table[idx]
+    pre, act = [], [latent]
+    for layer in model.hidden:
+        pre.append(act[-1] @ layer.w + layer.b)
+        act.append(np.maximum(pre[-1], 0.0))
+    recon = act[-1] @ model.recon.w + model.recon.b
+    grads = np.zeros_like(model.theta)
+    views = model.views(grads)
+    d_out = (2.0 / len(idx)) * (recon - x_batch)
+    views["recon.w"][...] = act[-1].T @ d_out
+    views["recon.b"][...] = d_out.sum(axis=0)
+    d_h = d_out @ model.recon.w.T
+    for li in reversed(range(len(model.hidden))):
+        layer = model.hidden[li]
+        if cfg.alpha:
+            d_h = d_h + cfg.alpha * reference_unit_rows(act[li + 1])
+        d_a = d_h * (pre[li] > 0.0)
+        views[f"hidden{li}.w"][...] = act[li].T @ d_a
+        if cfg.beta:
+            fro = float(np.linalg.norm(layer.w))
+            if fro > 0:
+                views[f"hidden{li}.w"] += cfg.beta * layer.w / fro
+        views[f"hidden{li}.b"][...] = d_a.sum(axis=0)
+        d_h = d_a @ layer.w.T
+    if cfg.alpha:
+        d_h = d_h + cfg.alpha * reference_unit_rows(latent)
+    if cfg.beta:
+        fro = float(np.linalg.norm(latent))
+        if fro > 0:
+            d_h = d_h + cfg.beta * latent / fro
+    views["latent_table"][idx] = d_h
+    return grads
+
+
+def reference_adam(model, grads, cfg):
+    model.t += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    c1 = 1.0 - b1**model.t
+    c2 = 1.0 - b2**model.t
+    m = b1 * model.m + (1.0 - b1) * grads
+    v = b2 * model.v + (1.0 - b2) * (grads * grads)
+    model.m[...] = m
+    model.v[...] = v
+    m_hat = m / c1
+    v_hat = v / c2
+    model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
 class TestConfig:
@@ -336,6 +396,32 @@ class TestGradients:
             assert (np.abs(a - f) / denom).max() < 1e-4, name
 
 
+class TestUnitRows:
+    @pytest.mark.parametrize(
+        "edge",
+        [[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0], [1e-200, -1e-200, 0.0]],
+        ids=["zero", "nan", "underflow"],
+    )
+    def test_edge_rows_stay_zero(self, edge):
+        # masked branch: one degenerate row among ordinary ones
+        h = make_rng(0).standard_normal((4, 3))
+        h[2] = edge
+        out = _unit_rows(h)
+        assert out[2].tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
+        assert out.tobytes() == reference_unit_rows(h).tobytes()
+
+    def test_positive_rows_divide_plainly(self):
+        # fast branch: every norm positive, including tiny rows that square
+        # to a normal number
+        h = make_rng(1).standard_normal((6, 3))
+        h[1] *= 1e-150
+        h[4] = [0.0, -2.0, 0.0]
+        out = _unit_rows(h)
+        assert out.tobytes() == reference_unit_rows(h).tobytes()
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0)
+        assert not np.shares_memory(out, h)
+
+
 class TestAdam:
     def test_zero_grads_zero_moments_no_change(self):
         cfg = ModelConfig(seed=1, hidden_widths=(3,))
@@ -390,33 +476,77 @@ class TestAdam:
         assert not np.array_equal(model.latent_table[batch], before[batch])
 
 
-class TestFit:
-    @pytest.mark.parametrize(
-        "widths,alpha,beta,batch_size",
-        [(None, 1e-6, 1e-4, None), ((), 1e-6, 1e-4, None), (None, 0.0, 0.0, None),
-         ((5, 4), 1e-3, 1e-3, 7)],
-        ids=["default", "no-hidden", "no-regularizers", "partial-batch"],
+REPLAY_CASES = pytest.mark.parametrize(
+    "widths,alpha,beta,batch_size",
+    [(None, 1e-6, 1e-4, None), ((), 1e-6, 1e-4, None), (None, 0.0, 0.0, None),
+     ((5, 4), 1e-3, 1e-3, 7)],
+    ids=["default", "no-hidden", "no-regularizers", "partial-batch"],
+)
+
+
+def assert_fit_replays(step, widths, alpha, beta, batch_size):
+    """Train with fit, replay its batches over its shuffles with
+    ``step(model, idx, x_batch, cfg)``, and check that theta, m and v come
+    out byte-equal to fit's."""
+    x = make_rng(5).standard_normal((128, 3))  # batch 64 divides, 7 does not
+    cfg = ModelConfig(
+        hidden_widths=widths, alpha=alpha, beta=beta, batch_size=batch_size,
+        epochs=4, seed=11, convergence=None,
     )
+    model, _ = fit(x, cfg)
+    replay = init_model(cfg, *x.shape)
+    batch = cfg.resolved_batch_size(len(x))
+    shuffle_rng = spawn_rng(cfg.seed, 1)
+    for _ in range(cfg.epochs):
+        perm = shuffle_rng.permutation(len(x))
+        for s in range(0, len(x), batch):
+            idx = perm[s : s + batch]
+            step(replay, idx, x[idx], cfg)
+    assert replay.t == model.t
+    for name in ("theta", "m", "v"):
+        assert getattr(replay, name).tobytes() == getattr(model, name).tobytes(), name
+
+
+class TestFit:
+    @REPLAY_CASES
     def test_matches_public_step_loop(self, widths, alpha, beta, batch_size):
         # fit's reused workspace must train exactly as the public gradients
-        # and adam_step do with fresh buffers, replayed over fit's shuffles
-        x = make_rng(5).standard_normal((128, 3))  # batch 64 divides, 7 does not
-        cfg = ModelConfig(
-            hidden_widths=widths, alpha=alpha, beta=beta, batch_size=batch_size,
-            epochs=4, seed=11, convergence=None,
-        )
-        model, _ = fit(x, cfg)
-        replay = init_model(cfg, *x.shape)
-        batch = cfg.resolved_batch_size(len(x))
-        shuffle_rng = spawn_rng(cfg.seed, 1)
-        for _ in range(cfg.epochs):
-            perm = shuffle_rng.permutation(len(x))
-            for s in range(0, len(x), batch):
-                idx = perm[s : s + batch]
-                adam_step(replay, gradients(replay, idx, x[idx], cfg), cfg)
-        assert replay.t == model.t
-        for name in ("theta", "m", "v"):
-            assert getattr(replay, name).tobytes() == getattr(model, name).tobytes(), name
+        # and adam_step do with fresh buffers
+        def step(model, idx, x_batch, cfg):
+            adam_step(model, gradients(model, idx, x_batch, cfg), cfg)
+
+        assert_fit_replays(step, widths, alpha, beta, batch_size)
+
+    @REPLAY_CASES
+    def test_bit_identical_to_reference_formulas(
+        self, widths, alpha, beta, batch_size
+    ):
+        # fit's in-place step must round exactly as the plain formulas do;
+        # the public step loop runs the same in-place code and cannot tell
+        def step(model, idx, x_batch, cfg):
+            reference_adam(model, reference_gradients(model, idx, x_batch, cfg), cfg)
+
+        assert_fit_replays(step, widths, alpha, beta, batch_size)
+
+    def test_step_allocation_does_not_grow_with_n(self):
+        # one workspace step allocates batch-sized temporaries only
+        cfg = ModelConfig(seed=0)
+        peaks = {}
+        for n in (400, 40000):
+            model = init_model(cfg, n, 9)
+            ws = _Workspace(model)
+            x = make_rng(1).standard_normal((n, 9))
+            batches = np.arange(128).reshape(2, 64)
+            for idx in batches:  # the second step re-zeroes the first's rows
+                xb = x[idx]
+                tracemalloc.start()
+                try:
+                    adam_step(model, gradients(model, idx, xb, cfg, ws), cfg, ws)
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[400] == peaks[40000]
+        assert peaks[40000] < model.theta.nbytes
 
     def test_single_sample_fits_exactly(self):
         cfg = ModelConfig(
