@@ -29,7 +29,6 @@ from .errors import (
     InvalidConfigError,
     InvalidInputError,
     NeurodavisError,
-    StratificationError,
     TrainingDivergedError,
 )
 from .metrics import (

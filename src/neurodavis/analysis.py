@@ -40,7 +40,14 @@ from .model import (
     init_model,
     loss,
 )
-from .numerics import Rng, as_matrix, make_rng, pairwise_euclidean, spectral_norm
+from .numerics import (
+    Rng,
+    as_class_ids,
+    as_matrix,
+    make_rng,
+    pairwise_euclidean,
+    spectral_norm,
+)
 
 LEMMA1_TOLERANCE = 1e-9
 THEOREM1_REL_TOLERANCE = 1e-9
@@ -92,24 +99,6 @@ class SuiteResult:
     dataset: str
     reports: list[EvalReport]
     medians: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        values: dict[str, list[float]] = {}
-        for rep in self.reports:
-            for key, val in rep.metrics.items():
-                values.setdefault(key, []).append(float(val))
-        return {
-            "dataset": self.dataset,
-            "runs": [rep.to_dict() for rep in self.reports],
-            "summary": {
-                key: {
-                    "median": self.medians[key],
-                    "min": min(vals),
-                    "max": max(vals),
-                }
-                for key, vals in values.items()
-            },
-        }
 
 
 def check_lemma1(trials: int, max_dim: int, rng: Rng) -> Lemma1Report:
@@ -314,8 +303,17 @@ def evaluate_embedding(
     """
     x_high = as_matrix(x_high, "x_high")
     x_low = as_matrix(x_low, "x_low")
+    if x_high.shape[0] != x_low.shape[0]:
+        raise InvalidInputError(
+            f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
+        )
     if rng is None:
         rng = make_rng(0)
+    labelled = [m for m in metrics if m in ("centroid", "area", "knn", "cluster")]
+    if labelled:
+        if labels is None:
+            raise InvalidInputError(f"{labelled[0]} metric requires labels")
+        labels, n_classes = as_class_ids(labels, x_high.shape[0])
     out: dict[str, float] = {}
     for metric in metrics:
         if metric == "distance":
@@ -323,27 +321,18 @@ def evaluate_embedding(
                 x_high, x_low, pair_budget, rng
             )
         elif metric == "centroid":
-            if labels is None:
-                raise InvalidInputError("centroid metric requires labels")
             out["centroid_spearman"] = centroid_distance_preservation(
                 x_high, x_low, labels
             )
         elif metric == "area":
-            if labels is None:
-                raise InvalidInputError("area metric requires labels")
             out["area_pearson"] = cluster_area_preservation(x_high, x_low, labels)
         elif metric == "knn":
-            if labels is None:
-                raise InvalidInputError("knn metric requires labels")
             acc, f1 = knn_evaluate(x_low, labels, k=5, split=0.8, rng=rng)
             out["knn_accuracy"] = acc
             out["knn_f1_macro"] = f1
         elif metric == "cluster":
-            if labels is None:
-                raise InvalidInputError("cluster metric requires labels")
-            k = int(np.max(labels)) + 1
-            km = kmeans(x_low, k, rng=rng)
-            ag = agglomerative(x_low, k)
+            km = kmeans(x_low, n_classes, rng=rng)
+            ag = agglomerative(x_low, n_classes)
             out["kmeans_ari"] = ari(labels, km)
             out["kmeans_fmi"] = fmi(labels, km)
             out["agglomerative_ari"] = ari(labels, ag)

@@ -239,17 +239,13 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from .analysis import evaluate_embedding
-    from .errors import NeurodavisError
     from .metrics import mann_whitney_u
     from .numerics import make_rng
 
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    try:
-        high = _load_for_cli(args.high, args.label_col)
-        low = _load_for_cli(args.low, None)
-        compare = None if args.compare is None else _load_for_cli(args.compare, None)
-    except (OSError, NeurodavisError) as exc:
-        return _fail(str(exc))
+    high = _load_for_cli(args.high, args.label_col)
+    low = _load_for_cli(args.low, None)
+    compare = None if args.compare is None else _load_for_cli(args.compare, None)
     if low.n != high.n or (compare is not None and compare.n != high.n):
         return _fail(
             f"row counts differ: high={high.n}, low={low.n}"
@@ -262,32 +258,29 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "metrics_requested": list(metrics),
     }
-    try:
-        runs = []
-        for r in range(args.runs):
-            rng = make_rng(args.seed + r)
-            values = evaluate_embedding(
+    runs = []
+    for r in range(args.runs):
+        rng = make_rng(args.seed + r)
+        values = evaluate_embedding(
+            high.x,
+            low.x,
+            labels=high.labels,
+            metrics=metrics,
+            pair_budget=args.pair_budget,
+            rng=rng,
+        )
+        entry = {"seed": args.seed + r, "metrics": values}
+        if compare is not None:
+            rng_cmp = make_rng(args.seed + r)  # identical pair samples
+            entry["compare_metrics"] = evaluate_embedding(
                 high.x,
-                low.x,
+                compare.x,
                 labels=high.labels,
                 metrics=metrics,
                 pair_budget=args.pair_budget,
-                rng=rng,
+                rng=rng_cmp,
             )
-            entry = {"seed": args.seed + r, "metrics": values}
-            if compare is not None:
-                rng_cmp = make_rng(args.seed + r)  # identical pair samples
-                entry["compare_metrics"] = evaluate_embedding(
-                    high.x,
-                    compare.x,
-                    labels=high.labels,
-                    metrics=metrics,
-                    pair_budget=args.pair_budget,
-                    rng=rng_cmp,
-                )
-            runs.append(entry)
-    except NeurodavisError as exc:
-        return _fail(str(exc))
+        runs.append(entry)
     doc["runs"] = runs
     doc["medians"] = {
         key: float(np.median([r["metrics"][key] for r in runs]))
@@ -349,23 +342,18 @@ def render_scatter_svg(
 
 
 def cmd_plot(args) -> int:
-    from .errors import NeurodavisError
-
     labels = None
-    try:
-        if args.labels is not None and args.labels == args.embedding:
-            # labels stored alongside the coordinates in one file
-            emb = _load_for_cli(args.embedding, args.label_col)
-            labels = emb.labels
-        else:
-            emb = _load_for_cli(args.embedding, None)
-            if args.labels is not None:
-                labelled = _load_for_cli(args.labels, args.label_col)
-                if labelled.labels is None or labelled.n != emb.n:
-                    return _fail("label file must carry one label per embedding row")
-                labels = labelled.labels
-    except (OSError, NeurodavisError) as exc:
-        return _fail(str(exc))
+    if args.labels is not None and args.labels == args.embedding:
+        # labels stored alongside the coordinates in one file
+        emb = _load_for_cli(args.embedding, args.label_col)
+        labels = emb.labels
+    else:
+        emb = _load_for_cli(args.embedding, None)
+        if args.labels is not None:
+            labelled = _load_for_cli(args.labels, args.label_col)
+            if labelled.labels is None or labelled.n != emb.n:
+                return _fail("label file must carry one label per embedding row")
+            labels = labelled.labels
     if emb.n == 0:
         return _fail("embedding is empty")
     if emb.d != 2:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import CsvParseError, InvalidInputError
-from .numerics import Rng, as_matrix
+from .numerics import Rng, as_class_ids, as_matrix
 
 SYNTHETIC_KINDS = ("elliptic_ring", "olympic", "spiral", "shape", "world_map")
 
@@ -33,25 +33,12 @@ class Dataset:
     labels: np.ndarray | None = None
     feature_names: list[str] | None = None
     name: str = ""
+    n_classes: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.x = as_matrix(self.x, "x")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.x.shape[0],):
-                raise InvalidInputError(
-                    f"labels length {self.labels.shape} does not match "
-                    f"{self.x.shape[0]} rows"
-                )
-            # dense from 0: no id below 0, none past n - 1 (checked before
-            # bincount allocates max + 1 counters), and no id left unused
-            labels = self.labels
-            if labels.size and (
-                labels.min() < 0
-                or labels.max() >= labels.size
-                or not np.bincount(labels).all()
-            ):
-                raise InvalidInputError("class ids must be dense from 0")
+            self.labels, self.n_classes = as_class_ids(self.labels, self.x.shape[0])
         if self.feature_names is not None and len(self.feature_names) != self.x.shape[1]:
             raise InvalidInputError("feature_names length must match columns")
 
@@ -62,10 +49,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return 0 if self.labels is None else int(self.labels.max()) + 1
 
 
 def _load_template(filename: str) -> dict:
@@ -245,8 +228,8 @@ def load_csv(
     """Load a numeric CSV ('.' decimal, ',' separator, UTF-8) as a Dataset.
 
     ``label_column`` selects a class-id column by header name or 0-based
-    index; label values must be integers and are remapped to dense ids
-    starting at 0 (ascending original value). Ragged rows and non-numeric
+    index; label values must be finite integers and are remapped to dense
+    ids starting at 0 (ascending original value). Ragged rows and non-numeric
     cells raise :class:`CsvParseError` with 1-based row/column position.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -288,16 +271,20 @@ def load_csv(
     labels = None
     if label_idx is not None:
         raw = data[:, label_idx]
-        if not np.all(raw == np.round(raw)):
-            bad = int(np.flatnonzero(raw != np.round(raw))[0])
+        bad = np.flatnonzero(~(np.isfinite(raw) & (raw == np.floor(raw))))
+        if bad.size:
+            r = int(bad[0])
             raise CsvParseError(
-                "label column contains non-integer values",
-                row=bad + offset,
+                f"label {float(raw[r])!r} at row {r + offset}, column {label_idx + 1} "
+                "is not a finite integer",
+                row=r + offset,
                 col=label_idx + 1,
             )
-        ids = raw.astype(np.int64)
-        classes = np.unique(ids)
-        labels = np.searchsorted(classes, ids)
+        # dense ids by ascending value; remapped on the floats, so values
+        # past the int64 range stay distinct
+        values = np.sort(raw)
+        values = values[np.r_[True, values[1:] != values[:-1]]]
+        labels = np.searchsorted(values, raw)
         data = np.delete(data, label_idx, axis=1)
         if header is not None:
             header = header[:label_idx] + header[label_idx + 1 :]

@@ -32,7 +32,3 @@ class CsvParseError(NeurodavisError, ValueError):
         super().__init__(message)
         self.row = row
         self.col = col
-
-
-class StratificationError(NeurodavisError, ValueError):
-    """A stratified split would leave some class without training samples."""

@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    InvalidInputError,
-    StratificationError,
-)
+from .errors import DegenerateInputError, InvalidInputError
 from .numerics import (
     Rng,
+    as_class_ids,
     as_matrix,
     make_rng,
     pair_distances,
@@ -42,14 +39,6 @@ class EvalReport:
     seed: int
     config_hash: str
     metrics: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "metrics": {k: float(v) for k, v in self.metrics.items()},
-        }
 
 
 def _as_vector(a, name: str) -> np.ndarray:
@@ -151,17 +140,6 @@ def distance_preservation(
     return spearman_rho(d_high, d_low)
 
 
-def _class_ids(labels, n: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise InvalidInputError("labels must be one id per row")
-    n_classes = int(labels.max()) + 1 if len(labels) else 0
-    present = np.unique(labels)
-    if labels.min() < 0 or len(present) != n_classes:
-        raise InvalidInputError("class ids must be dense from 0, each nonempty")
-    return labels
-
-
 def _centroids(x: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.empty((n_classes, x.shape[1]))
     for c in range(n_classes):
@@ -176,8 +154,7 @@ def centroid_distance_preservation(x_high, x_low, labels) -> float:
     x_low = as_matrix(x_low, "x_low")
     if x_high.shape[0] != x_low.shape[0]:
         raise InvalidInputError("row counts differ")
-    labels = _class_ids(labels, x_high.shape[0])
-    n_classes = int(labels.max()) + 1
+    labels, n_classes = as_class_ids(labels, x_high.shape[0])
     if n_classes < 3:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
     c_high = _centroids(x_high, labels, n_classes)
@@ -196,8 +173,7 @@ def cluster_area_preservation(x_high, x_low, labels) -> float:
         raise InvalidInputError("both spaces must be 2-D")
     if x_high.shape[0] != x_low.shape[0]:
         raise InvalidInputError("row counts differ")
-    labels = _class_ids(labels, x_high.shape[0])
-    n_classes = int(labels.max()) + 1
+    labels, n_classes = as_class_ids(labels, x_high.shape[0])
     if n_classes < 3:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
 
@@ -215,20 +191,21 @@ def cluster_area_preservation(x_high, x_low, labels) -> float:
 def _stratified_split(
     labels: np.ndarray, split: float, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Class by class in id order: shuffle the class's rows with ``rng`` and
+    send round(split * size) of them, at least one, to train, the rest to
+    test."""
     train_parts, test_parts = [], []
-    for c in np.unique(labels):
-        idx = np.flatnonzero(labels == c)
+    # a stable sort groups the rows by class, ascending within each class
+    by_class = np.argsort(labels, kind="stable")
+    for idx in np.split(by_class, np.cumsum(np.bincount(labels))[:-1]):
         idx = idx[rng.permutation(len(idx))]
-        n_train = min(max(int(round(split * len(idx))), 1), len(idx))
+        n_train = max(int(round(split * len(idx))), 1)
         train_parts.append(idx[:n_train])
         test_parts.append(idx[n_train:])
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     if len(test) == 0:
         raise InvalidInputError("split leaves no test points")
-    for c in np.unique(labels):
-        if not np.any(labels[train] == c):
-            raise StratificationError(f"class {c} absent from train split")
     return train, test
 
 
@@ -247,7 +224,7 @@ def knn_evaluate(
     numerator/denominator counts as 0.
     """
     x = as_matrix(embedding, "embedding")
-    labels = _class_ids(labels, x.shape[0])
+    labels, n_classes = as_class_ids(labels, x.shape[0])
     if not 0.0 < split < 1.0:
         raise InvalidInputError(f"split must be in (0, 1), got {split}")
     if rng is None:
@@ -255,7 +232,6 @@ def knn_evaluate(
     train, test = _stratified_split(labels, split, rng)
     if not 1 <= k <= len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
-    n_classes = int(labels.max()) + 1
     preds = np.empty(len(test), dtype=np.int64)
     dists = np.sqrt(sq_distances(x[test], x[train]))
     for t in range(len(test)):

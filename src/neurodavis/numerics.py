@@ -6,7 +6,8 @@ one set against every row of another.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
-the package can assume well-formed matrices.
+the package can assume well-formed matrices; ``as_class_ids`` is the one
+check of class labels.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
@@ -44,6 +45,31 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
+
+
+def as_class_ids(labels, n: int) -> tuple[np.ndarray, int]:
+    """Validate class labels for ``n`` rows; return ``(ids, n_classes)``.
+
+    Labels are one finite integer id per row, dense from 0: every id in
+    0..n_classes-1 names at least one row. The bounds are checked before
+    ``bincount`` allocates max + 1 counters, so a huge id costs nothing.
+    """
+    a = np.asarray(labels)
+    if a.shape != (n,):
+        raise InvalidInputError(
+            f"labels must be one id per row: got shape {a.shape} for {n} rows"
+        )
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"labels must be numeric, got dtype {a.dtype}")
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise InvalidInputError("labels must be finite integers")
+    if n and (a.min() < 0 or a.max() >= n):
+        raise InvalidInputError(f"class ids must be dense from 0, within [0, {n})")
+    ids = a.astype(np.int64, copy=False)
+    counts = np.bincount(ids)
+    if not counts.all():
+        raise InvalidInputError("class ids must be dense from 0: an id is unused")
+    return ids, len(counts)
 
 
 def _sample_pair_indices(total: int, count: int, rng: Rng) -> np.ndarray:

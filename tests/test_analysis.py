@@ -149,6 +149,12 @@ class TestEvaluateEmbedding:
         with pytest.raises(InvalidInputError):
             evaluate_embedding(x, x, metrics=("centroid",))
 
+    def test_row_mismatch_rejected_before_clustering(self):
+        # labels are checked against x_high's rows; cluster and knn run on x_low
+        x = make_rng(5).standard_normal((15, 2))
+        with pytest.raises(InvalidInputError, match="row counts differ"):
+            evaluate_embedding(x, x[:14], [0, 1, 2] * 5, metrics=("cluster",))
+
     def test_unknown_metric(self):
         x = np.zeros((4, 2))
         with pytest.raises(InvalidInputError):
@@ -176,12 +182,3 @@ class TestPreservationSuite:
         cfg = ModelConfig(seed=1, epochs=20, convergence=None)
         suite = run_preservation_suite(ds, cfg, n_runs=2)
         assert set(suite.medians) == {"distance_spearman"}
-
-    def test_json_summary_structure(self):
-        ds = gen_synthetic("spiral", make_rng(0))
-        cfg = ModelConfig(seed=2, epochs=20, convergence=None)
-        doc = run_preservation_suite(ds, cfg, n_runs=2).to_dict()
-        assert doc["dataset"] == "spiral"
-        assert len(doc["runs"]) == 2
-        for stats in doc["summary"].values():
-            assert stats["min"] <= stats["median"] <= stats["max"]

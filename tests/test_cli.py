@@ -164,6 +164,14 @@ class TestFit:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
 
 
+    def test_non_finite_label_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text("x,y,label\n0,0,0\n1,0,inf\n0,1,1\n1,1,1\n")
+        assert run(["fit", "--in", str(path), "--label-col", "label", "--epochs", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and "row 3, column 3" in err
+
+
 class TestEval:
     @staticmethod
     def _strip_labels(tmp_path, csv_path):
@@ -235,6 +243,14 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    def test_non_numeric_high_cell_exits_2(self, tmp_path, spiral_csv, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n1,2\n3,oops\n")
+        assert run(["eval", "--high", str(bad), "--low", str(spiral_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3, column 2" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("runs", ["0", "-3"])
     def test_runs_below_one_exits_2(self, tmp_path, spiral_csv, capsys, runs):
         argv = ["eval", "--high", str(spiral_csv), "--low", str(spiral_csv), "--runs", runs]
@@ -285,6 +301,17 @@ class TestPlot:
         path = tmp_path / "empty.csv"
         path.write_text("x,y\n")
         assert run(["plot", "--embedding", str(path), "--out", str(tmp_path / "o.svg")]) == 2
+
+    def test_ragged_label_file_exits_2(self, tmp_path, capsys):
+        emb = self._embedding(tmp_path, n=3, with_labels=False)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("label\n0\n1,2\n0\n")
+        out = tmp_path / "o.svg"
+        argv = ["plot", "--embedding", str(emb), "--labels", str(ragged), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ragged row") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag,value",

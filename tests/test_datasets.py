@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neurodavis
+from neurodavis.analysis import evaluate_embedding
 from neurodavis.datasets import (
     Dataset,
     SYNTHETIC_KINDS,
@@ -13,6 +19,11 @@ from neurodavis.datasets import (
     save_csv,
 )
 from neurodavis.errors import CsvParseError, InvalidInputError
+from neurodavis.metrics import (
+    centroid_distance_preservation,
+    cluster_area_preservation,
+    knn_evaluate,
+)
 from neurodavis.numerics import make_rng
 
 EXPECTED_SHAPES = {
@@ -122,6 +133,43 @@ class TestCsv:
         ds = load_csv(p, label_column=2)
         assert np.array_equal(ds.labels, [0, 1, 0])  # {5, 9} -> {0, 1}
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "0.5"])
+    def test_label_cell_not_a_finite_integer(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,label\n1,0\n2,{cell}\n3,1\n")
+        with pytest.raises(CsvParseError, match="row 3, column 2") as err:
+            load_csv(p, label_column="label")
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_labels_past_int64_stay_distinct(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n1,2e19\n2,1e19\n3,2e19\n")
+        ds = load_csv(p, label_column="label")
+        assert np.array_equal(ds.labels, [1, 0, 1])
+
+    def test_labelled_paths_leave_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma costs about 12 ms of import; generating and loading
+        # labelled data must not pull it in
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n1,5\n2,9\n3,5\n")
+        code = (
+            "import sys\n"
+            "import neurodavis as nd\n"
+            "nd.gen_synthetic('spiral', nd.make_rng(0))\n"
+            f"nd.load_csv({str(p)!r}, label_column='label')\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(neurodavis.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert done.stdout.strip() == "False"
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = make_rng(3)
         ds = Dataset(
@@ -165,6 +213,40 @@ class TestCsv:
         assert ds.feature_names is None
 
 
+# One table of broken class labels for a 15-row input whose valid labels are
+# [0, 1, 2] * 5, run against Dataset and against every metric that takes
+# labels; each case carries the message of the one validator they share.
+BASE_LABELS = [0, 1, 2] * 5
+BROKEN_LABELS = [
+    pytest.param(BASE_LABELS[:-1] + [-1], "dense", id="negative"),
+    pytest.param([-1] * 15, "dense", id="all-negative"),
+    pytest.param([c + 1 for c in BASE_LABELS], "dense", id="no-zero"),
+    pytest.param([0, 2, 3] * 5, "dense", id="gap"),
+    pytest.param(BASE_LABELS[:-1] + [15], "dense", id="past-n"),
+    pytest.param(BASE_LABELS[:-1] + [10**12], "dense", id="huge"),
+    pytest.param(BASE_LABELS[:-1] + [1e19], "dense", id="past-int64"),
+    pytest.param(BASE_LABELS[:-1] + [2.5], "finite integers", id="non-integral"),
+    pytest.param(BASE_LABELS[:-1] + [np.nan], "finite integers", id="nan"),
+    pytest.param(BASE_LABELS[:-1] + [np.inf], "finite integers", id="inf"),
+    pytest.param(BASE_LABELS[:-1], "one id per row", id="wrong-length"),
+    pytest.param([BASE_LABELS], "one id per row", id="2-d"),
+    pytest.param(["a"] * 15, "numeric", id="strings"),
+]
+
+ENTRY_POINTS = {
+    "Dataset": lambda x, labels: Dataset(x, labels=labels),
+    "centroid": lambda x, labels: centroid_distance_preservation(x, x, labels),
+    "area": lambda x, labels: cluster_area_preservation(x, x, labels),
+    "knn": lambda x, labels: knn_evaluate(x, labels, k=1, rng=make_rng(0)),
+    "cluster": lambda x, labels: evaluate_embedding(x, x, labels, metrics=("cluster",)),
+}
+METRIC_ENTRY_POINTS = [name for name in ENTRY_POINTS if name != "Dataset"]
+
+
+def _points(rows: int) -> np.ndarray:
+    return make_rng(4).standard_normal((rows, 2))
+
+
 class TestDatasetValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(InvalidInputError):
@@ -174,15 +256,28 @@ class TestDatasetValidation:
         with pytest.raises(InvalidInputError):
             Dataset(np.ones((3, 2)), labels=[0, 2, 2])
 
-    @pytest.mark.parametrize(
-        "labels",
-        [[0, -1, 1], [-1, -1, -1], [1, 1, 1], [0, 2, 0], [0, 3, 1], [0, 1, 10**12]],
-        ids=["negative", "all-negative", "no-zero", "gap", "past-n", "huge"],
-    )
-    def test_rejects_non_dense_ids(self, labels):
+    @pytest.mark.parametrize("labels,match", BROKEN_LABELS)
+    def test_rejects_non_dense_ids(self, labels, match):
         # a huge id must be rejected by the bound, not by counting up to it
-        with pytest.raises(InvalidInputError, match="dense"):
-            Dataset(np.ones((3, 2)), labels=labels)
+        with pytest.raises(InvalidInputError, match=match):
+            Dataset(_points(15), labels=labels)
+
+    @pytest.mark.parametrize("entry", METRIC_ENTRY_POINTS)
+    @pytest.mark.parametrize("labels,match", BROKEN_LABELS)
+    def test_every_metric_rejects(self, entry, labels, match):
+        with pytest.raises(InvalidInputError, match=match):
+            ENTRY_POINTS[entry](_points(15), labels)
+
+    @pytest.mark.parametrize("entry", METRIC_ENTRY_POINTS)
+    def test_metrics_reject_empty_input(self, entry):
+        with pytest.raises(InvalidInputError):
+            ENTRY_POINTS[entry](_points(0), [])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("ids", [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    def test_every_entry_point_accepts_dense_permutations(self, entry, ids):
+        labels = np.array(ids * 5, dtype=float)  # integral floats are ids too
+        ENTRY_POINTS[entry](_points(15), labels)
 
     @pytest.mark.parametrize("labels", [[0, 0, 0], [2, 0, 1], [1, 0, 1]])
     def test_accepts_dense_ids(self, labels):
@@ -192,3 +287,4 @@ class TestDatasetValidation:
     def test_accepts_no_rows(self):
         ds = Dataset(np.ones((0, 2)), labels=[])
         assert ds.labels.shape == (0,)
+        assert ds.n_classes == 0
