@@ -278,14 +278,10 @@ def _lloyd(
         new_labels = d2.argmin(axis=1)
         # empty clusters: re-seed at the point farthest from its centroid
         counts = np.bincount(new_labels, minlength=k)
-        if np.any(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
             assigned = d2[np.arange(len(x)), new_labels]
-            used: set[int] = set()
-            for c in np.flatnonzero(counts == 0):
-                cand = np.argsort(assigned)[::-1]
-                far = next(int(p) for p in cand if int(p) not in used)
-                used.add(far)
-                centers[c] = x[far]
+            centers[empty] = x[np.argsort(assigned)[::-1][: empty.size]]
             d2 = sq_distances(x, centers)
             new_labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(len(x)), new_labels].sum()))
@@ -353,16 +349,25 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1) // 2
 
 
+def _cluster_index(labels) -> np.ndarray:
+    """Dense 0-based index of each id in a nonempty labeling of finite
+    integers (any values, not necessarily dense)."""
+    a = np.asarray(labels).ravel()
+    if a.size == 0 or a.dtype.kind not in "biuf":
+        raise InvalidInputError("labelings must be nonempty and numeric")
+    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise InvalidInputError("labelings must be finite integers")
+    return np.unique(a, return_inverse=True)[1]
+
+
 def _contingency(labels_true, labels_pred) -> tuple[np.ndarray, int]:
-    lt = np.asarray(labels_true, dtype=np.int64).ravel()
-    lp = np.asarray(labels_pred, dtype=np.int64).ravel()
-    if lt.shape != lp.shape:
+    ti = _cluster_index(labels_true)
+    pi = _cluster_index(labels_pred)
+    if ti.shape != pi.shape:
         raise InvalidInputError("labelings must have equal length")
-    _, ti = np.unique(lt, return_inverse=True)
-    _, pi = np.unique(lp, return_inverse=True)
     table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
     np.add.at(table, (ti, pi), 1)
-    return table, len(lt)
+    return table, len(ti)
 
 
 def ari(labels_true, labels_pred) -> float:

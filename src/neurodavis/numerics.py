@@ -11,7 +11,9 @@ check of class labels.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
-platform and numpy build.
+platform and numpy build. Budgeted pair sets are numpy's
+``Generator.choice`` without replacement over pair ranks, decoded in
+ascending rank order like the all-pairs set.
 """
 
 from __future__ import annotations
@@ -72,25 +74,6 @@ def as_class_ids(labels, n: int) -> tuple[np.ndarray, int]:
     return ids, len(counts)
 
 
-def _sample_pair_indices(total: int, count: int, rng: Rng) -> np.ndarray:
-    """Uniform sample of ``count`` distinct integers from [0, total), sorted.
-
-    Batched rejection: repeatedly draw i.i.d. integers and keep new distinct
-    values until ``count`` are collected. Accepting only unseen values is
-    exactly sampling without replacement, and it needs O(count) memory even
-    when ``total`` is huge.
-    """
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < count:
-        need = count - chosen.size
-        draw = rng.integers(0, total, size=int(need * 1.1) + 16, dtype=np.int64)
-        _, first = np.unique(draw, return_index=True)
-        fresh = draw[np.sort(first)]  # distinct values, in draw order
-        fresh = fresh[~np.isin(fresh, chosen)]
-        chosen = np.concatenate([chosen, fresh[:need]])
-    return np.sort(chosen)
-
-
 def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Map lexicographic pair ranks to (i, j) with i < j."""
     rows = np.arange(n - 1, dtype=np.int64)
@@ -100,9 +83,17 @@ def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
-def pair_distances(x: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked."""
+def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
+    """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
+    ``ii`` and ``jj`` are equal-length 1-D integer arrays of rows in [0, n)."""
     x = as_matrix(x, "x")
+    ii, jj = np.asarray(ii), np.asarray(jj)
+    kinds = {ii.dtype.kind, jj.dtype.kind}
+    if ii.ndim != 1 or ii.shape != jj.shape or not kinds <= {"i", "u"}:
+        raise InvalidInputError("ii and jj must be 1-D integer arrays of equal length")
+    n = x.shape[0]
+    if ii.size and (min(ii.min(), jj.min()) < 0 or max(ii.max(), jj.max()) >= n):
+        raise InvalidInputError(f"row indices must be in [0, {n})")
     out = np.empty(len(ii), dtype=np.float64)
     for s in range(0, len(ii), _PAIR_CHUNK):
         e = min(s + _PAIR_CHUNK, len(ii))
@@ -134,31 +125,32 @@ def pairwise_euclidean(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Euclidean distances over unordered row pairs of ``x``.
 
-    Returns parallel arrays ``(ii, jj, d)`` with ``ii < jj``; zipping them
-    yields ``(i, j, distance)`` triples. Without a budget all n(n-1)/2 pairs
-    are produced in lexicographic order. With ``pair_budget`` below the total,
-    a seeded uniform sample without replacement of that many pairs is taken
-    (ascending pair rank), which requires ``rng``.
+    Returns parallel arrays ``(ii, jj, d)`` with ``ii < jj``, in ascending
+    lexicographic pair rank; zipping them yields ``(i, j, distance)``
+    triples. Without a budget (or with one equal to the total) all
+    n(n-1)/2 pairs are produced. With ``pair_budget`` below the total, that
+    many ranks are drawn uniformly without replacement by
+    ``rng.choice(total, pair_budget, replace=False)``, which requires
+    ``rng``. numpy draws a budget up to total/50 by Floyd's algorithm in
+    O(budget) memory; a larger one by a partial shuffle that holds all
+    ``total`` ranks (8 bytes each), no more than the all-pairs call needs.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
     if n < 2:
         raise InvalidInputError(f"need at least 2 rows, got {n}")
     total = n * (n - 1) // 2
-    if pair_budget is not None:
-        if not 1 <= pair_budget <= total:
-            raise InvalidInputError(
-                f"pair_budget must be in [1, {total}], got {pair_budget}"
-            )
-        if pair_budget < total:
-            if rng is None:
-                raise InvalidInputError("pair sampling requires an rng")
-            linear = _sample_pair_indices(total, pair_budget, rng)
-            ii, jj = _decode_pairs(linear, n)
-            return ii, jj, pair_distances(x, ii, jj)
-    ii, jj = np.triu_indices(n, k=1)
-    ii = ii.astype(np.int64)
-    jj = jj.astype(np.int64)
+    budget = total if pair_budget is None else pair_budget
+    if not 1 <= budget <= total:
+        raise InvalidInputError(f"pair_budget must be in [1, {total}], got {budget}")
+    if budget < total:
+        if rng is None:
+            raise InvalidInputError("pair sampling requires an rng")
+        ranks = rng.choice(total, budget, replace=False)
+        ranks.sort()
+    else:
+        ranks = np.arange(total, dtype=np.int64)
+    ii, jj = _decode_pairs(ranks, n)
     return ii, jj, pair_distances(x, ii, jj)
 
 

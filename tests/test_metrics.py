@@ -512,6 +512,21 @@ class TestKmeans:
         _, _, history = _lloyd(x, centers)
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
+    def test_lloyd_reseeds_empty_clusters_at_farthest_points(self):
+        # duplicated centers leave clusters 2 and 3 empty on the first pass;
+        # the farthest point from its center seeds cluster 2, the next one 3
+        x = make_rng(23).standard_normal((40, 2))
+        duplicated = np.vstack([x[:2], x[:2]])
+        nearest = ((x[:, None, :] - x[None, :2, :]) ** 2).sum(axis=-1).min(axis=1)
+        far = np.argsort(nearest)[::-1]
+        assert nearest[far[0]] > nearest[far[1]] > nearest[far[2]]  # no ties
+        reseeded = np.vstack([x[:2], x[far[0]], x[far[1]]])
+        labels, inertia, history = _lloyd(x, duplicated)
+        want_labels, want_inertia, want_history = _lloyd(x, reseeded)
+        np.testing.assert_array_equal(labels, want_labels)
+        assert (inertia, history) == (want_inertia, want_history)
+        assert len(np.unique(labels)) == 4
+
     def test_k_too_large(self):
         with pytest.raises(InvalidInputError):
             kmeans(np.zeros((3, 2)), 4)
@@ -605,3 +620,23 @@ class TestPairCountingIndices:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             ari([0, 1], [0, 1, 2])
+
+    def test_integer_valued_floats_and_sparse_ids_accepted(self):
+        lt = [0, 0, 0, 1, 1, 1, 2, 2]
+        lp = [0, 0, 1, 1, 1, 2, 2, 2]
+        sparse = [-7.0, -7.0, 40.0, 40.0, 40.0, 9.0, 9.0, 9.0]
+        assert ari(lt, sparse) == ari(lt, lp)
+        assert fmi(lt, sparse) == fmi(lt, lp)
+
+    @pytest.mark.parametrize("fn", [ari, fmi])
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 0.5, 1, 1.7], [0, 0, 1, np.nan], [0, 0, 1, np.inf], [], ["a"] * 4],
+        ids=["non_integral", "nan", "inf", "empty", "strings"],
+    )
+    def test_malformed_labelings_rejected(self, fn, bad):
+        other = [0, 0, 1, 1] if len(bad) else []
+        with pytest.raises(InvalidInputError):
+            fn(bad, other)
+        with pytest.raises(InvalidInputError):
+            fn(other, bad)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +132,61 @@ class TestPairwiseEuclidean:
         x = make_rng(2).standard_normal((9, 3))
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_array_equal(pair_distances(x, ii, jj), d)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 312, 2000])
+    def test_all_pairs_byte_equal_to_triu_reference(self, n):
+        x = make_rng(n).standard_normal((n, 3))
+        ref_ii, ref_jj = (a.astype(np.int64) for a in np.triu_indices(n, k=1))
+        ii, jj, d = pairwise_euclidean(x)
+        assert ii.dtype == jj.dtype == np.int64
+        assert ii.tobytes() == ref_ii.tobytes()
+        assert jj.tobytes() == ref_jj.tobytes()
+        assert d.tobytes() == pair_distances(x, ref_ii, ref_jj).tobytes()
+
+    def test_budget_sample_uniform_over_all_subsets(self):
+        # 5 rows: 10 pairs, C(10, 3) = 120 possible 3-pair samples
+        x = make_rng(4).standard_normal((5, 2))
+        subsets = list(itertools.combinations(itertools.combinations(range(5), 2), 3))
+        draws = 24_000
+        rng = make_rng(8)
+        counts = dict.fromkeys(subsets, 0)
+        for _ in range(draws):
+            ii, jj, _ = pairwise_euclidean(x, pair_budget=3, rng=rng)
+            key = tuple(zip(ii.tolist(), jj.tolist()))
+            assert key in counts, f"not 3 distinct pairs in rank order: {key}"
+            counts[key] += 1
+        expected = draws / len(subsets)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        # 207.2 is the upper 1e-6 quantile of chi-square with 119 degrees of freedom
+        assert chi2 < 207.2
+
+    def test_sampled_pairs_memory_independent_of_total(self):
+        # 199,990,000 pairs: an array of every rank would take 1.5 GiB
+        x = make_rng(6).standard_normal((20_000, 2))
+        rng = make_rng(7)
+        tracemalloc.start()
+        try:
+            ii, jj, d = pairwise_euclidean(x, pair_budget=1_000, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 1_000 and np.all(ii < jj)
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize(
+        "ii, jj",
+        [
+            ([-1], [0]),  # negative indices would wrap to the last row
+            ([0, 1], [2]),  # unequal lengths would broadcast
+            ([0], [4]),  # index == n
+            ([0.0], [1.0]),  # not integers
+            ([[0]], [[1]]),  # not 1-D
+        ],
+        ids=["negative", "unequal_length", "index_n", "float", "not_1d"],
+    )
+    def test_pair_distances_rejects_bad_indices(self, ii, jj):
+        with pytest.raises(InvalidInputError):
+            pair_distances(np.zeros((4, 2)), ii, jj)
 
 
 class TestSqDistances:
