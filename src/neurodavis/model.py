@@ -351,7 +351,7 @@ def loss(
     recon_term = ((resid * resid).sum() / m).item()
     activity = 0.0
     for h in (trace.latent, *trace.hidden_act):
-        activity += np.sqrt((h * h).sum(axis=1)).sum().item()
+        activity += _row_norms(h).sum().item()
     activity_term = config.alpha * activity
     wsum = _frobenius(trace.latent).item()  # the batch's latent rows
     for layer in model.hidden:
@@ -368,16 +368,24 @@ def _frobenius(a: np.ndarray):
     return np.sqrt(f.dot(f))
 
 
-def _unit_rows(h: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm, in a fresh array; rows whose norm is zero,
-    underflows to zero or is NaN come out zero (subgradient choice)."""
-    sq = h * h
-    norms = np.add.reduce(sq, 1, keepdims=True)
-    np.sqrt(norms, out=norms)
+def _row_norms(h: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``h``, in ``h``'s dtype."""
+    norms = np.vecdot(h, h)
+    return np.sqrt(norms, out=norms)
+
+
+def _scaled_unit_rows(h: np.ndarray, c: float) -> np.ndarray:
+    """``c * h / ||h||`` row by row, in a fresh array: one scale per row,
+    applied with one multiply. Rows whose norm is zero, underflows to zero or
+    is NaN come out +0.0 (subgradient choice)."""
+    norms = _row_norms(h)
     if norms.min() > 0:  # False for any NaN norm
-        return np.divide(h, norms, out=sq)
-    sq.fill(0.0)
-    return np.divide(h, norms, out=sq, where=norms > 0)
+        return np.multiply(h, np.divide(c, norms, out=norms)[:, None])
+    live = norms > 0
+    scale = np.divide(c, norms, out=np.zeros_like(norms), where=live)
+    out = np.multiply(h, scale[:, None])
+    out[~live] = 0.0  # NaN rows stay NaN and -0.0 stays -0.0 through a zero scale
+    return out
 
 
 class _Workspace:
@@ -436,9 +444,7 @@ def gradients(
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
         if alpha:
-            u = _unit_rows(hidden_act[li])
-            u *= alpha
-            d_h += u
+            d_h += _scaled_unit_rows(hidden_act[li], alpha)
         np.multiply(d_h, hidden_pre[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
         below = hidden_act[li - 1] if li > 0 else latent
         grad = _ws.hidden[li]
@@ -446,21 +452,16 @@ def gradients(
         if beta:
             fro = float(_frobenius(layer.w))
             if fro > 0:
-                u = beta * layer.w
-                u /= fro
-                grad.w += u
+                grad.w += layer.w * (beta / fro)
         np.add.reduce(d_h, 0, out=grad.b)
         d_h = d_h @ layer.w.T
 
     if alpha:
-        u = _unit_rows(latent)
-        u *= alpha
-        d_h += u
+        d_h += _scaled_unit_rows(latent, alpha)
     if beta:
         fro = float(_frobenius(latent))
         if fro > 0:
-            latent *= beta  # last use of the gathered rows
-            latent /= fro
+            latent *= beta / fro  # last use of the gathered rows
             d_h += latent
     if fresh:
         np.add.at(_ws.latent, idx, d_h)
@@ -478,18 +479,22 @@ def adam_step(
     """One Adam update with bias correction over the whole parameter vector,
     in place; returns the model. Parameters with exactly zero gradient and
     zero moments are unchanged. ``_ws`` is private to :func:`fit` and lends
-    its scratch vectors; without it two are allocated."""
+    its scratch vectors; without it two are allocated.
+
+    The bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t are folded
+    into two scalars (Kingma & Ba, arXiv:1412.6980, sec. 2):
+    ``theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``,
+    which equals ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic
+    and leaves one division per parameter."""
     if _ws is None:
         a, b = np.empty_like(model.theta), np.empty_like(model.theta)
     else:
         a, b = _ws.scratch
     model.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    c1 = 1.0 - b1**model.t
-    c2 = 1.0 - b2**model.t
-    lr, eps = config.learning_rate, config.adam_eps
+    root_c2 = math.sqrt(1.0 - b2**model.t)
+    step = config.learning_rate * root_c2 / (1.0 - b1**model.t)
     m, v = model.m, model.v
-    # theta -= lr * (m / c1) / (sqrt(v / c2) + eps), operation for operation
     m *= b1
     np.multiply(grads, 1.0 - b1, out=a)
     m += a
@@ -497,11 +502,9 @@ def adam_step(
     np.multiply(grads, grads, out=a)
     a *= 1.0 - b2
     v += a
-    np.divide(m, c1, out=a)
-    a *= lr
-    np.divide(v, c2, out=b)
-    np.sqrt(b, out=b)
-    b += eps
+    np.sqrt(v, out=b)
+    b += config.adam_eps * root_c2
+    np.multiply(m, step, out=a)
     a /= b
     model.theta -= a
     return model

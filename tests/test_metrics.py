@@ -577,6 +577,26 @@ class TestAgglomerative:
                 agglomerative(x, k), oracle_average_linkage(x, k), err_msg=f"k={k}"
             )
 
+    def test_matches_scipy_average_linkage_on_tie_free_inputs(self):
+        # independent oracle: scipy's average linkage cut to k clusters gives
+        # the same partition (ARI 1.0) on Gaussian inputs, where no two merge
+        # heights tie
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        distance = pytest.importorskip("scipy.spatial.distance")
+
+        def first_seen(labels):
+            ids = {}
+            return [ids.setdefault(v, len(ids)) for v in np.ravel(labels)]
+
+        for seed in range(60):
+            rng = make_rng(300 + seed)
+            n = int(rng.integers(2, 120))
+            x = rng.standard_normal((n, int(rng.integers(1, 5))))
+            tree = hierarchy.linkage(distance.pdist(x), "average")
+            for k in sorted({1, 2, int(rng.integers(1, n + 1)), n}):
+                ref = hierarchy.cut_tree(tree, n_clusters=k)
+                assert first_seen(agglomerative(x, k)) == first_seen(ref), (seed, k)
+
     def test_tie_after_merges_follows_computed_values(self):
         # In exact arithmetic the last merge ties (0, 2) with (0, 7), and the
         # smallest pair gives [0 0 0 0 0 0 0 1]. The running averages round

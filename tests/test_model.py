@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from neurodavis.model import (
     Model,
     ModelConfig,
     _Workspace,
-    _unit_rows,
+    _scaled_unit_rows,
     adam_step,
     embed,
     fit,
@@ -68,11 +70,11 @@ def zero_model(model):
     return model
 
 
-def reference_unit_rows(h):
-    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
-    out = np.zeros_like(h)
-    np.divide(h, norms, out=out, where=norms > 0)
-    return out
+def reference_scaled_unit_rows(h, c):
+    """c * h / ||h|| per row, +0.0 where the norm is not positive."""
+    norms = np.sqrt(np.vecdot(h, h))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norms > 0, h * (c / norms), 0.0)
 
 
 def reference_gradients(model, idx, x_batch, cfg):
@@ -93,21 +95,21 @@ def reference_gradients(model, idx, x_batch, cfg):
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
         if cfg.alpha:
-            d_h = d_h + cfg.alpha * reference_unit_rows(act[li + 1])
+            d_h = d_h + reference_scaled_unit_rows(act[li + 1], cfg.alpha)
         d_a = d_h * (pre[li] > 0.0)
         views[f"hidden{li}.w"][...] = act[li].T @ d_a
         if cfg.beta:
             fro = float(np.linalg.norm(layer.w))
             if fro > 0:
-                views[f"hidden{li}.w"] += cfg.beta * layer.w / fro
+                views[f"hidden{li}.w"] += layer.w * (cfg.beta / fro)
         views[f"hidden{li}.b"][...] = d_a.sum(axis=0)
         d_h = d_a @ layer.w.T
     if cfg.alpha:
-        d_h = d_h + cfg.alpha * reference_unit_rows(latent)
+        d_h = d_h + reference_scaled_unit_rows(latent, cfg.alpha)
     if cfg.beta:
         fro = float(np.linalg.norm(latent))
         if fro > 0:
-            d_h = d_h + cfg.beta * latent / fro
+            d_h = d_h + latent * (cfg.beta / fro)
     views["latent_table"][idx] = d_h
     return grads
 
@@ -121,9 +123,8 @@ def reference_adam(model, grads, cfg):
     v = b2 * model.v + (1.0 - b2) * (grads * grads)
     model.m[...] = m
     model.v[...] = v
-    m_hat = m / c1
-    v_hat = v / c2
-    model.theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    step = cfg.learning_rate * math.sqrt(c2) / c1
+    model.theta -= step * m / (np.sqrt(v) + cfg.adam_eps * math.sqrt(c2))
 
 
 class TestConfig:
@@ -399,26 +400,29 @@ class TestGradients:
 class TestUnitRows:
     @pytest.mark.parametrize(
         "edge",
-        [[0.0, 0.0, 0.0], [np.nan, 1.0, 2.0], [1e-200, -1e-200, 0.0]],
-        ids=["zero", "nan", "underflow"],
+        [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [np.nan, 1.0, 2.0],
+         [1e-200, -1e-200, 0.0], [-1e-200, 0.0, -1e-200]],
+        ids=["zero", "negative-zero", "nan", "underflow", "negative-underflow"],
     )
     def test_edge_rows_stay_zero(self, edge):
-        # masked branch: one degenerate row among ordinary ones
+        # masked branch: one degenerate row among ordinary ones, no warning
         h = make_rng(0).standard_normal((4, 3))
         h[2] = edge
-        out = _unit_rows(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _scaled_unit_rows(h, 0.7)
         assert out[2].tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
-        assert out.tobytes() == reference_unit_rows(h).tobytes()
+        assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
 
     def test_positive_rows_divide_plainly(self):
         # fast branch: every norm positive, including tiny rows that square
-        # to a normal number
+        # to a normal number; one divide per row, one multiply
         h = make_rng(1).standard_normal((6, 3))
         h[1] *= 1e-150
         h[4] = [0.0, -2.0, 0.0]
-        out = _unit_rows(h)
-        assert out.tobytes() == reference_unit_rows(h).tobytes()
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0)
+        out = _scaled_unit_rows(h, 0.7)
+        assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 0.7)
         assert not np.shares_memory(out, h)
 
 
@@ -450,6 +454,30 @@ class TestAdam:
         vh = v / (1 - 0.999**2)
         expected += -0.1 * mh / (np.sqrt(vh) + cfg.adam_eps)
         assert model.recon.w[0, 0] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("b1,b2", [(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)])
+    def test_matches_textbook_recurrence(self, b1, b2):
+        # the folded bias correction equals lr * m_hat / (sqrt(v_hat) + eps)
+        # up to rounding, over gradients spanning ten decades and exact zeros
+        cfg = ModelConfig(
+            hidden_widths=(3,), adam_beta1=b1, adam_beta2=b2, learning_rate=0.01
+        )
+        model = init_model(cfg, 20, 4)
+        rng = make_rng(9)
+        m = np.zeros_like(model.theta)
+        v = np.zeros_like(model.theta)
+        for t in range(1, 251):
+            grads = rng.standard_normal(model.theta.size)
+            grads *= 10.0 ** rng.uniform(-8, 2, grads.size)
+            grads[rng.random(grads.size) < 0.2] = 0.0
+            m = b1 * m + (1 - b1) * grads
+            v = b2 * v + (1 - b2) * grads**2
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            expected = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            model.theta[...] = 0.0
+            adam_step(model, grads, cfg)
+            np.testing.assert_allclose(-model.theta, expected, rtol=1e-12, atol=0)
 
     def test_deterministic_across_models(self):
         cfg = ModelConfig(seed=7, hidden_widths=(4,))
