@@ -51,6 +51,8 @@ from .numerics import (
 
 LEMMA1_TOLERANCE = 1e-9
 THEOREM1_REL_TOLERANCE = 1e-9
+GRADIENT_TOLERANCE = 1e-4
+FINITE_DIFFERENCE_STEP = 1e-6
 # False on builds whose long double is plain float64 (MSVC, Apple arm64).
 LONGDOUBLE_EXTENDS_FLOAT64 = bool(
     np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
@@ -87,11 +89,10 @@ class ContractionTrace:
 class GradientCheckReport:
     n_models: int
     max_rel_error: float
-    tolerance: float = 1e-4
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < GRADIENT_TOLERANCE
 
 
 @dataclass
@@ -177,10 +178,10 @@ def check_theorem1(
     return ContractionTrace(gaps=np.asarray(gaps), recon_fro=np.asarray(fros))
 
 
-def _project_fro(w: np.ndarray, limit: float = 1.0) -> None:
+def _project_fro(w: np.ndarray) -> None:
     fro = float(np.linalg.norm(w))
-    if fro > limit:
-        w *= limit / fro
+    if fro > 1.0:
+        w *= 1.0 / fro
 
 
 def finite_difference_gradients(
@@ -188,12 +189,12 @@ def finite_difference_gradients(
     batch_indices,
     x_batch: np.ndarray,
     config: ModelConfig,
-    step: float = 1e-6,
 ) -> np.ndarray:
-    """Central-difference gradients of the batch objective, entry by entry of
-    the parameter vector, returned as a float64 vector laid out like
-    ``model.theta``. Only evaluates the forward pass and loss,
-    so it is independent of the backpropagation path it is used to check.
+    """Central-difference gradients of the batch objective, with step
+    h = ``FINITE_DIFFERENCE_STEP``, entry by entry of the parameter vector,
+    returned as a float64 vector laid out like ``model.theta``. Only
+    evaluates the forward pass and loss, so it is independent of the
+    backpropagation path it is used to check.
 
     The differences are taken on a ``np.longdouble`` copy of the model. The
     roundoff error of a central difference is about eps*|L|/h (Nocedal &
@@ -212,6 +213,7 @@ def finite_difference_gradients(
             RuntimeWarning,
             stacklevel=2,
         )
+    step = FINITE_DIFFERENCE_STEP
     wide = model.astype(np.longdouble)
     theta = wide.theta
     g = np.zeros_like(theta)
@@ -231,12 +233,11 @@ def max_gradient_rel_error(
     batch_indices,
     x_batch: np.ndarray,
     config: ModelConfig,
-    step: float = 1e-6,
 ) -> float:
     """Worst relative disagreement between analytic and central-difference
     gradients over all parameters."""
     a = gradients(model, batch_indices, x_batch, config)
-    f = finite_difference_gradients(model, batch_indices, x_batch, config, step)
+    f = finite_difference_gradients(model, batch_indices, x_batch, config)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
     return float((np.abs(a - f) / denom).max())
 
@@ -388,7 +389,6 @@ def run_preservation_suite(
                 metrics=values,
             )
         )
-    reports.sort(key=lambda rep: rep.seed)
     medians: dict[str, float] = {}
     for key in reports[0].metrics:
         medians[key] = float(np.median([rep.metrics[key] for rep in reports]))

@@ -220,12 +220,9 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
         ) from None
 
 
-def load_csv(
-    path,
-    label_column: str | int | None = None,
-    has_header: bool = True,
-) -> Dataset:
-    """Load a numeric CSV ('.' decimal, ',' separator, UTF-8) as a Dataset.
+def load_csv(path, label_column: str | int | None = None) -> Dataset:
+    """Load a numeric CSV ('.' decimal, ',' separator, UTF-8, header row) as
+    a Dataset whose feature names are the header's.
 
     ``label_column`` selects a class-id column by header name or 0-based
     index; label values must be finite integers and are remapped to dense
@@ -236,17 +233,15 @@ def load_csv(
         rows = list(csv.reader(fh))
     if not rows:
         raise CsvParseError("empty file", row=1, col=1)
-    header: list[str] | None = None
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise CsvParseError("no data rows after header", row=2, col=1)
+    header = [h.strip() for h in rows[0]]
+    rows = rows[1:]
+    if not rows:
+        raise CsvParseError("no data rows after header", row=2, col=1)
     width = len(rows[0])
     label_idx: int | None = None
     if label_column is not None:
         if isinstance(label_column, str):
-            if header is None or label_column not in header:
+            if label_column not in header:
                 raise InvalidInputError(
                     f"label column {label_column!r} not found in header"
                 )
@@ -258,16 +253,16 @@ def load_csv(
                     f"label column index {label_idx} out of range for {width} columns"
                 )
     data = np.empty((len(rows), width), dtype=np.float64)
-    offset = 2 if has_header else 1  # 1-based file row of the first data row
+    # data row r is file row r + 2: file rows count from 1 and row 1 is the header
     for r, row in enumerate(rows):
         if len(row) != width:
             raise CsvParseError(
                 f"ragged row: expected {width} cells, got {len(row)}",
-                row=r + offset,
+                row=r + 2,
                 col=len(row) + 1,
             )
         for c, cell in enumerate(row):
-            data[r, c] = _parse_cell(cell.strip(), r + offset, c + 1)
+            data[r, c] = _parse_cell(cell.strip(), r + 2, c + 1)
     labels = None
     if label_idx is not None:
         raw = data[:, label_idx]
@@ -275,9 +270,9 @@ def load_csv(
         if bad.size:
             r = int(bad[0])
             raise CsvParseError(
-                f"label {float(raw[r])!r} at row {r + offset}, column {label_idx + 1} "
+                f"label {float(raw[r])!r} at row {r + 2}, column {label_idx + 1} "
                 "is not a finite integer",
-                row=r + offset,
+                row=r + 2,
                 col=label_idx + 1,
             )
         # dense ids by ascending value; remapped on the floats, so values
@@ -286,8 +281,7 @@ def load_csv(
         values = values[np.r_[True, values[1:] != values[:-1]]]
         labels = np.searchsorted(values, raw)
         data = np.delete(data, label_idx, axis=1)
-        if header is not None:
-            header = header[:label_idx] + header[label_idx + 1 :]
+        header = header[:label_idx] + header[label_idx + 1 :]
     return Dataset(data, labels=labels, feature_names=header, name="")
 
 

@@ -267,13 +267,13 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
 
 
 def _lloyd(
-    x: np.ndarray, centers: np.ndarray, max_iter: int = 300
+    x: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, float, list[float]]:
     k = len(centers)
     centers = centers.copy()
     labels = np.full(x.shape[0], -1, dtype=np.int64)
     history: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(300):
         d2 = sq_distances(x, centers)
         new_labels = d2.argmin(axis=1)
         # empty clusters: re-seed at the point farthest from its centroid

@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -58,7 +59,25 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "neurodavis-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+
+# Adam's decay rates and denominator offset: the values Kingma & Ba
+# recommend (arXiv:1412.6980, sec. 2).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as a Python int >= ``low``; any integer type passes, a float
+    does not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -69,10 +88,16 @@ class Convergence:
     window: int = 20
     rel_tol: float = 1e-5
 
+    def __post_init__(self):
+        object.__setattr__(self, "window", _count(self.window, "convergence window", 2))
+        if not 0 <= self.rel_tol < math.inf:
+            raise InvalidConfigError("convergence rel_tol must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """All hyperparameters of a training run.
+    """The settable hyperparameters of a training run; Adam's beta1, beta2
+    and eps are the fixed ``ADAM_*`` constants.
 
     ``hidden_widths=None`` resolves to two hidden layers of width
     clamp(ceil(d/2), 16, 256) once the data dimension is known; an empty
@@ -85,42 +110,25 @@ class ModelConfig:
     alpha: float = 1e-6
     beta: float = 1e-4
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1000
     batch_size: int | None = None
     seed: int = 0
     convergence: Convergence | None = field(default_factory=Convergence)
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise InvalidConfigError(f"latent_dim must be >= 1, got {self.latent_dim}")
+        for name, low in (("latent_dim", 1), ("epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, low))
+        if self.batch_size is not None:
+            object.__setattr__(self, "batch_size", _count(self.batch_size, "batch_size", 1))
         if self.hidden_widths is not None:
-            object.__setattr__(self, "hidden_widths", tuple(self.hidden_widths))
-            if any(w < 1 for w in self.hidden_widths):
-                raise InvalidConfigError(
-                    f"hidden widths must be >= 1, got {self.hidden_widths}"
-                )
+            widths = tuple(_count(w, "hidden width", 1) for w in self.hidden_widths)
+            object.__setattr__(self, "hidden_widths", widths)
         if not all(map(math.isfinite, (self.alpha, self.beta, self.learning_rate))):
             raise InvalidConfigError("alpha, beta and learning_rate must be finite")
         if self.alpha < 0 or self.beta < 0:
             raise InvalidConfigError("alpha and beta must be >= 0")
         if self.learning_rate <= 0:
             raise InvalidConfigError("learning_rate must be > 0")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise InvalidConfigError("adam_beta1 and adam_beta2 must be in [0, 1)")
-        if not (0 < self.adam_eps < math.inf):
-            raise InvalidConfigError("adam_eps must be finite and > 0")
-        if self.epochs < 1:
-            raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise InvalidConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        conv = self.convergence
-        if conv is not None and conv.window < 2:
-            raise InvalidConfigError("convergence window must be >= 2")
-        if conv is not None and not 0 <= conv.rel_tol < math.inf:
-            raise InvalidConfigError("convergence rel_tol must be finite and >= 0")
 
     def resolved_hidden(self, d: int) -> tuple[int, ...]:
         if self.hidden_widths is not None:
@@ -132,27 +140,10 @@ class ModelConfig:
         return min(n, 64) if self.batch_size is None else min(self.batch_size, n)
 
     def to_dict(self) -> dict:
-        return {
-            "latent_dim": self.latent_dim,
-            "hidden_widths": None
-            if self.hidden_widths is None
-            else list(self.hidden_widths),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "convergence": None
-            if self.convergence is None
-            else {
-                "window": self.convergence.window,
-                "rel_tol": self.convergence.rel_tol,
-            },
-        }
+        out = asdict(self)
+        if self.hidden_widths is not None:
+            out["hidden_widths"] = list(self.hidden_widths)
+        return out
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -481,7 +472,8 @@ def adam_step(
     zero moments are unchanged. ``_ws`` is private to :func:`fit` and lends
     its scratch vectors; without it two are allocated.
 
-    The bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t are folded
+    With beta1, beta2, eps = ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``,
+    the bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t are folded
     into two scalars (Kingma & Ba, arXiv:1412.6980, sec. 2):
     ``theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``,
     which equals ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic
@@ -491,7 +483,7 @@ def adam_step(
     else:
         a, b = _ws.scratch
     model.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_c2 = math.sqrt(1.0 - b2**model.t)
     step = config.learning_rate * root_c2 / (1.0 - b1**model.t)
     m, v = model.m, model.v
@@ -503,7 +495,7 @@ def adam_step(
     a *= 1.0 - b2
     v += a
     np.sqrt(v, out=b)
-    b += config.adam_eps * root_c2
+    b += ADAM_EPS * root_c2
     np.multiply(m, step, out=a)
     a /= b
     model.theta -= a

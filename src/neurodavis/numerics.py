@@ -28,14 +28,21 @@ Rng = np.random.Generator
 _PAIR_CHUNK = 1 << 18
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """SeedSequence for ``seed``, a non-negative integer of any integer type."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
+
+
 def make_rng(seed: int) -> Rng:
     """Seeded Philox generator; equal seeds give equal streams everywhere."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def spawn_rng(seed: int, stream: int) -> Rng:
     """Independent child generator ``stream`` derived from ``seed``."""
-    children = np.random.SeedSequence(int(seed)).spawn(stream + 1)
+    children = _seed_sequence(seed).spawn(stream + 1)
     return np.random.Generator(np.random.Philox(children[stream]))
 
 

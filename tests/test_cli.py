@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import neurodavis
-from neurodavis.cli import main, render_scatter_svg
+from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
 from neurodavis.datasets import load_csv
+from neurodavis.metrics import DEFAULT_PAIR_BUDGET
+from neurodavis.model import ModelConfig
 
 
 def run(argv):
@@ -94,7 +96,7 @@ class TestFit:
         self._fit(tmp_path, spiral_csv)
         assert (tmp_path / "e.csv").read_bytes() == first
 
-    def _fit_process(self, out, csv_path, threads):
+    def _fit_process(self, out, csv_path, threads, extra=()):
         """Embedding bytes of a CLI fit in a fresh interpreter whose BLAS
         thread count is set before it starts (BLAS reads it when numpy
         loads it)."""
@@ -112,6 +114,7 @@ class TestFit:
             "--out-model", str(out / "m.json"),
             "--out-embedding", str(out / "e.csv"),
             "--out-report", str(out / "r.json"),
+            *extra,
         ]
         subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
         return (out / "e.csv").read_bytes()
@@ -129,6 +132,13 @@ class TestFit:
         b = self._fit_process(tmp_path / "two", spiral_csv, "2")
         assert a == b
 
+    def test_width_96_one_and_two_blas_threads_bit_identical(self, tmp_path, spiral_csv):
+        # 96 is the widest hidden layer measured to give equal bytes under 1
+        # and 2 OpenBLAS threads; from 128 on the bytes differ.
+        hidden = ["--hidden", "96,96"]
+        a = self._fit_process(tmp_path / "one", spiral_csv, "1", hidden)
+        b = self._fit_process(tmp_path / "two", spiral_csv, "2", hidden)
+        assert a == b
 
     def test_divergence_exits_3_with_report(self, tmp_path, spiral_csv):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -354,3 +364,28 @@ class TestUsage:
 
     def test_no_command_rejected(self):
         assert run([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--kind", "spiral", "--out", "{dir}/x.csv"],
+            ["fit", "--in", "{csv}", "--epochs", "2"],
+            ["eval", "--high", "{csv}", "--low", "{csv}"],
+            ["check", "--which", "lemma1"],
+            ["check", "--which", "theorem1"],
+            ["check", "--which", "gradients"],
+        ],
+        ids=["gen", "fit", "eval", "lemma1", "theorem1", "gradients"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, spiral_csv, capsys, argv):
+        argv = [a.format(dir=tmp_path, csv=spiral_csv) for a in argv]
+        assert run([*argv, "--seed", "-1"]) == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+    def test_fit_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["fit", "--in", "x.csv"])
+        assert _model_config(args) == ModelConfig()
+
+    def test_eval_pair_budget_default_is_the_library_default(self):
+        args = build_parser().parse_args(["eval", "--high", "a.csv", "--low", "b.csv"])
+        assert args.pair_budget == DEFAULT_PAIR_BUDGET

@@ -205,13 +205,6 @@ class TestCsv:
         with pytest.raises(InvalidInputError):
             load_csv(p, label_column="label")
 
-    def test_no_header_mode(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("1,2\n3,4\n")
-        ds = load_csv(p, has_header=False)
-        assert ds.x.shape == (2, 2)
-        assert ds.feature_names is None
-
 
 # One table of broken class labels for a 15-row input whose valid labels are
 # [0, 1, 2] * 5, run against Dataset and against every metric that takes

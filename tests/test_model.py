@@ -12,6 +12,9 @@ from neurodavis.errors import (
     TrainingDivergedError,
 )
 from neurodavis.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Convergence,
     Model,
     ModelConfig,
@@ -116,7 +119,7 @@ def reference_gradients(model, idx, x_batch, cfg):
 
 def reference_adam(model, grads, cfg):
     model.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**model.t
     c2 = 1.0 - b2**model.t
     m = b1 * model.m + (1.0 - b1) * grads
@@ -124,7 +127,7 @@ def reference_adam(model, grads, cfg):
     model.m[...] = m
     model.v[...] = v
     step = cfg.learning_rate * math.sqrt(c2) / c1
-    model.theta -= step * m / (np.sqrt(v) + cfg.adam_eps * math.sqrt(c2))
+    model.theta -= step * m / (np.sqrt(v) + ADAM_EPS * math.sqrt(c2))
 
 
 class TestConfig:
@@ -144,18 +147,40 @@ class TestConfig:
             for value in (nan, inf):
                 with pytest.raises(InvalidConfigError):
                     ModelConfig(**{field: value})
-        for field in ("adam_beta1", "adam_beta2"):
-            for value in (nan, -0.1, 1.0):
-                with pytest.raises(InvalidConfigError):
-                    ModelConfig(**{field: value})
-        for value in (nan, inf, 0.0, -1e-8):
-            with pytest.raises(InvalidConfigError):
-                ModelConfig(adam_eps=value)
         for value in (nan, inf, -inf, -1e-5):
             with pytest.raises(InvalidConfigError):
                 ModelConfig(convergence=Convergence(window=5, rel_tol=value))
         ModelConfig(convergence=Convergence(rel_tol=0.0))  # zero is valid
-        ModelConfig(adam_beta1=0.0, adam_beta2=0.0)  # the closed ends are valid
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ModelConfig(epochs=2.5),
+            lambda: ModelConfig(latent_dim=1.5),
+            lambda: ModelConfig(batch_size=2.5),
+            lambda: ModelConfig(hidden_widths=(2.5,)),
+            lambda: ModelConfig(seed=1.5),
+            lambda: ModelConfig(seed=-1),
+            lambda: Convergence(window=2.5),
+        ],
+        ids=["epochs", "latent_dim", "batch_size", "hidden_widths", "seed", "negative-seed",
+             "window"],
+    )
+    def test_non_integer_or_out_of_range_counts_rejected(self, make):
+        with pytest.raises(InvalidConfigError, match="must be an integer >= "):
+            make()
+
+    def test_numpy_integer_counts_stored_as_int(self):
+        i = np.int64
+        cfg = ModelConfig(
+            latent_dim=i(3), hidden_widths=(i(4),), epochs=i(5), batch_size=i(6),
+            seed=i(7), convergence=Convergence(window=i(8)),
+        )
+        counts = (cfg.latent_dim, *cfg.hidden_widths, cfg.epochs, cfg.batch_size,
+                  cfg.seed, cfg.convergence.window)
+        assert counts == (3, 4, 5, 6, 7, 8)
+        assert all(type(c) is int for c in counts)
+        cfg.config_hash()  # json cannot encode numpy integers
 
     def test_auto_hidden_widths(self):
         assert ModelConfig().resolved_hidden(2) == (16, 16)
@@ -444,7 +469,7 @@ class TestAdam:
         model.views(grads)["recon.w"][0, 0] = 1.0
         adam_step(model, grads, cfg)
         # first step: m_hat = v_hat = 1 -> delta = -lr / (1 + eps)
-        expected = -0.1 / (1.0 + cfg.adam_eps)
+        expected = -0.1 / (1.0 + ADAM_EPS)
         assert model.recon.w[0, 0] == pytest.approx(expected, abs=1e-12)
         # second identical step, recurrence evaluated by hand
         adam_step(model, grads, cfg)
@@ -452,16 +477,14 @@ class TestAdam:
         v = 0.999 * 0.001 + 0.001 * 1.0
         mh = m / (1 - 0.9**2)
         vh = v / (1 - 0.999**2)
-        expected += -0.1 * mh / (np.sqrt(vh) + cfg.adam_eps)
+        expected += -0.1 * mh / (np.sqrt(vh) + ADAM_EPS)
         assert model.recon.w[0, 0] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("b1,b2", [(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)])
+    @pytest.mark.parametrize("b1,b2", [(ADAM_BETA1, ADAM_BETA2)])
     def test_matches_textbook_recurrence(self, b1, b2):
         # the folded bias correction equals lr * m_hat / (sqrt(v_hat) + eps)
         # up to rounding, over gradients spanning ten decades and exact zeros
-        cfg = ModelConfig(
-            hidden_widths=(3,), adam_beta1=b1, adam_beta2=b2, learning_rate=0.01
-        )
+        cfg = ModelConfig(hidden_widths=(3,), learning_rate=0.01)
         model = init_model(cfg, 20, 4)
         rng = make_rng(9)
         m = np.zeros_like(model.theta)
@@ -474,7 +497,7 @@ class TestAdam:
             v = b2 * v + (1 - b2) * grads**2
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
-            expected = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            expected = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             model.theta[...] = 0.0
             adam_step(model, grads, cfg)
             np.testing.assert_allclose(-model.theta, expected, rtol=1e-12, atol=0)
@@ -677,7 +700,7 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, cfg, path)
         doc = json.loads(path.read_text())
-        assert (doc["format"], doc["version"]) == ("neurodavis-checkpoint", 2)
+        assert (doc["format"], doc["version"]) == ("neurodavis-checkpoint", 3)
         assert set(doc) == {"format", "version", "config", "params"}
         assert doc["config"] == cfg.to_dict()
         params = doc["params"]

@@ -10,6 +10,7 @@ from neurodavis.numerics import (
     make_rng,
     pair_distances,
     pairwise_euclidean,
+    spawn_rng,
     spectral_norm,
     sq_distances,
 )
@@ -67,6 +68,19 @@ class TestRng:
         assert not np.array_equal(
             make_rng(0).uniform(size=100), make_rng(1).uniform(size=100)
         )
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            make_rng(seed)
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            spawn_rng(seed, 1)
+
+    def test_numpy_integer_seed_same_stream(self):
+        a = make_rng(np.uint8(5)).uniform(size=10)
+        assert np.array_equal(a, make_rng(5).uniform(size=10))
+        b = spawn_rng(np.int64(5), 1).uniform(size=10)
+        assert np.array_equal(b, spawn_rng(5, 1).uniform(size=10))
 
 
 class TestPairwiseEuclidean:
