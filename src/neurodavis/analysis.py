@@ -290,8 +290,9 @@ def evaluate_embedding(
     x_low,
     labels=None,
     metrics: tuple[str, ...] = ("distance",),
-    pair_budget: int | None = DEFAULT_PAIR_BUDGET,
-    rng: Rng | None = None,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    *,
+    rng: Rng,
 ) -> dict[str, float]:
     """Compute the selected structure/quality metrics for one embedding.
 
@@ -300,7 +301,9 @@ def evaluate_embedding(
     (bounding-rectangle area correlation; both spaces 2-D), ``knn``
     (accuracy and macro F1 of 5-NN on a stratified 80:20 split),
     ``cluster`` (k-means and agglomerative labelings with one cluster per
-    label, scored by ARI/FMI against the true labels).
+    label, scored by ARI/FMI against the true labels). The distance pair
+    sample, the k-NN split and the k-means seeding draw from ``rng`` in
+    the order of ``metrics``.
     """
     x_high = as_matrix(x_high, "x_high")
     x_low = as_matrix(x_low, "x_low")
@@ -308,8 +311,6 @@ def evaluate_embedding(
         raise InvalidInputError(
             f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
         )
-    if rng is None:
-        rng = make_rng(0)
     labelled = [m for m in metrics if m in ("centroid", "area", "knn", "cluster")]
     if labelled:
         if labels is None:
@@ -328,11 +329,11 @@ def evaluate_embedding(
         elif metric == "area":
             out["area_pearson"] = cluster_area_preservation(x_high, x_low, labels)
         elif metric == "knn":
-            acc, f1 = knn_evaluate(x_low, labels, k=5, split=0.8, rng=rng)
+            acc, f1 = knn_evaluate(x_low, labels, rng=rng)
             out["knn_accuracy"] = acc
             out["knn_f1_macro"] = f1
         elif metric == "cluster":
-            km = kmeans(x_low, n_classes, rng=rng)
+            km = kmeans(x_low, n_classes, rng)
             ag = agglomerative(x_low, n_classes)
             out["kmeans_ari"] = ari(labels, km)
             out["kmeans_fmi"] = fmi(labels, km)
@@ -356,7 +357,6 @@ def run_preservation_suite(
     ds: Dataset,
     config: ModelConfig,
     n_runs: int = 10,
-    pair_budget: int | None = DEFAULT_PAIR_BUDGET,
 ) -> SuiteResult:
     """Seeded repeats of fit -> embed -> structure metrics.
 
@@ -378,7 +378,6 @@ def run_preservation_suite(
             emb,
             labels=ds.labels,
             metrics=metrics,
-            pair_budget=pair_budget,
             rng=make_rng(run_config.seed),
         )
         reports.append(

@@ -41,6 +41,9 @@ PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+PLOT_WIDTH = 640
+PLOT_HEIGHT = 480
+PLOT_POINT_RADIUS = 2.5
 
 
 def _fail(message: str, code: int = USAGE_ERROR) -> int:
@@ -145,7 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="train and write embedding/checkpoint")
     p_fit.add_argument("--in", dest="in_path", required=True)
-    p_fit.add_argument("--label-col", default=None, help="label column to strip")
+    p_fit.add_argument(
+        "--label-col", default=None, help="header name of the label column"
+    )
     _add_fit_flags(p_fit)
     p_fit.add_argument("--out-model", default=None, help="checkpoint JSON path")
     p_fit.add_argument("--out-embedding", default=None, help="embedding CSV path")
@@ -154,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score an embedding against its source")
     p_eval.add_argument("--high", required=True, help="original-space CSV")
     p_eval.add_argument("--low", required=True, help="embedding CSV")
-    p_eval.add_argument("--label-col", default=None, help="label column in --high")
+    p_eval.add_argument(
+        "--label-col", default=None, help="header name of the label column in --high"
+    )
     p_eval.add_argument(
         "--metrics",
         default="distance",
@@ -175,12 +182,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="render a 2-D embedding as SVG")
     p_plot.add_argument("--embedding", required=True, help="embedding CSV")
-    p_plot.add_argument("--labels", default=None, help="CSV with a 'label' column")
-    p_plot.add_argument("--label-col", default="label")
+    p_plot.add_argument(
+        "--labels", default=None, help="CSV holding the --label-col column"
+    )
+    p_plot.add_argument(
+        "--label-col", default="label", help="header name of the label column"
+    )
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--width", type=_positive(int), default=640)
-    p_plot.add_argument("--height", type=_positive(int), default=480)
-    p_plot.add_argument("--point-radius", type=_positive(float), default=2.5)
+    p_plot.add_argument("--width", type=_positive(int), default=PLOT_WIDTH)
+    p_plot.add_argument("--height", type=_positive(int), default=PLOT_HEIGHT)
+    p_plot.add_argument(
+        "--point-radius", type=_positive(float), default=PLOT_POINT_RADIUS
+    )
 
     p_check = sub.add_parser("check", help="run the numerical self-checks")
     p_check.add_argument(
@@ -201,16 +214,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_for_cli(path, label_col):
-    column: str | int | None = label_col
-    if isinstance(column, str) and column.isdigit():
-        column = int(column)
-    return load_csv(path, label_column=column)
-
-
 def cmd_fit(args) -> int:
     try:
-        ds = _load_for_cli(args.in_path, args.label_col)
+        ds = load_csv(args.in_path, label_column=args.label_col)
     except (OSError, NeurodavisError) as exc:
         return _fail(f"cannot read {args.in_path}: {exc}")
     config = _model_config(args)
@@ -257,9 +263,9 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    high = _load_for_cli(args.high, args.label_col)
-    low = _load_for_cli(args.low, None)
-    compare = None if args.compare is None else _load_for_cli(args.compare, None)
+    high = load_csv(args.high, label_column=args.label_col)
+    low = load_csv(args.low)
+    compare = None if args.compare is None else load_csv(args.compare)
     if low.n != high.n or (compare is not None and compare.n != high.n):
         return _fail(
             f"row counts differ: high={high.n}, low={low.n}"
@@ -322,9 +328,9 @@ def cmd_eval(args) -> int:
 def render_scatter_svg(
     points,
     labels=None,
-    width: int = 640,
-    height: int = 480,
-    point_radius: float = 2.5,
+    width: int = PLOT_WIDTH,
+    height: int = PLOT_HEIGHT,
+    point_radius: float = PLOT_POINT_RADIUS,
 ) -> str:
     """Deterministic SVG scatter: one circle per row, colors from a fixed
     10-color palette by class id, axes auto-scaled with a 5% margin."""
@@ -354,20 +360,14 @@ def render_scatter_svg(
 
 
 def cmd_plot(args) -> int:
-    labels = None
-    if args.labels is not None and args.labels == args.embedding:
-        # labels stored alongside the coordinates in one file
-        emb = _load_for_cli(args.embedding, args.label_col)
-        labels = emb.labels
-    else:
-        emb = _load_for_cli(args.embedding, None)
-        if args.labels is not None:
-            labelled = _load_for_cli(args.labels, args.label_col)
-            if labelled.labels is None or labelled.n != emb.n:
-                return _fail("label file must carry one label per embedding row")
-            labels = labelled.labels
-    if emb.n == 0:
-        return _fail("embedding is empty")
+    # labels stored alongside the coordinates come from the same load
+    same_file = args.labels == args.embedding
+    emb = load_csv(args.embedding, label_column=args.label_col if same_file else None)
+    labels = emb.labels
+    if args.labels is not None and not same_file:
+        labels = load_csv(args.labels, label_column=args.label_col).labels
+        if len(labels) != emb.n:
+            return _fail("label file must carry one label per embedding row")
     if emb.d != 2:
         return _fail(f"plot needs a 2-D embedding, got d={emb.d}")
     svg = render_scatter_svg(

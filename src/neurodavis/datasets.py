@@ -220,14 +220,15 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
         ) from None
 
 
-def load_csv(path, label_column: str | int | None = None) -> Dataset:
+def load_csv(path, label_column: str | None = None) -> Dataset:
     """Load a numeric CSV ('.' decimal, ',' separator, UTF-8, header row) as
     a Dataset whose feature names are the header's.
 
-    ``label_column`` selects a class-id column by header name or 0-based
-    index; label values must be finite integers and are remapped to dense
-    ids starting at 0 (ascending original value). Ragged rows and non-numeric
-    cells raise :class:`CsvParseError` with 1-based row/column position.
+    The header fixes the width: every data row must have as many cells.
+    ``label_column`` names a class-id column by its header; label values
+    must be finite integers and are remapped to dense ids starting at 0
+    (ascending original value). Ragged rows and non-numeric cells raise
+    :class:`CsvParseError` with 1-based row/column position.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -237,27 +238,20 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     rows = rows[1:]
     if not rows:
         raise CsvParseError("no data rows after header", row=2, col=1)
-    width = len(rows[0])
+    width = len(header)
     label_idx: int | None = None
     if label_column is not None:
-        if isinstance(label_column, str):
-            if label_column not in header:
-                raise InvalidInputError(
-                    f"label column {label_column!r} not found in header"
-                )
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise InvalidInputError(
-                    f"label column index {label_idx} out of range for {width} columns"
-                )
+        if label_column not in header:
+            raise InvalidInputError(
+                f"label column {label_column!r} not found in header"
+            )
+        label_idx = header.index(label_column)
     data = np.empty((len(rows), width), dtype=np.float64)
     # data row r is file row r + 2: file rows count from 1 and row 1 is the header
     for r, row in enumerate(rows):
         if len(row) != width:
             raise CsvParseError(
-                f"ragged row: expected {width} cells, got {len(row)}",
+                f"ragged row {r + 2}: {len(row)} cells, the header has {width}",
                 row=r + 2,
                 col=len(row) + 1,
             )

@@ -22,7 +22,6 @@ from .numerics import (
     Rng,
     as_class_ids,
     as_matrix,
-    make_rng,
     pair_distances,
     pairwise_euclidean,
     sq_distances,
@@ -119,11 +118,13 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
 def distance_preservation(
     x_high,
     x_low,
-    pair_budget: int | None = DEFAULT_PAIR_BUDGET,
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
     rng: Rng | None = None,
 ) -> float:
     """Spearman correlation between pairwise distances in two row-aligned
-    spaces, computed over the same (possibly budget-sampled) pair set."""
+    spaces, computed over the same pair set: all n(n-1)/2 pairs when
+    ``pair_budget`` reaches that total, else ``pair_budget`` pairs drawn
+    with ``rng``."""
     x_high = as_matrix(x_high, "x_high")
     x_low = as_matrix(x_low, "x_low")
     if x_high.shape[0] != x_low.shape[0]:
@@ -131,10 +132,7 @@ def distance_preservation(
             f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
         )
     n = x_high.shape[0]
-    total = n * (n - 1) // 2
-    budget = None if pair_budget is None else min(pair_budget, total)
-    if budget is not None and budget < total and rng is None:
-        rng = make_rng(0)
+    budget = min(pair_budget, n * (n - 1) // 2)
     ii, jj, d_high = pairwise_euclidean(x_high, budget, rng)
     d_low = pair_distances(x_low, ii, jj)
     return spearman_rho(d_high, d_low)
@@ -214,7 +212,8 @@ def knn_evaluate(
     labels,
     k: int = 5,
     split: float = 0.8,
-    rng: Rng | None = None,
+    *,
+    rng: Rng,
 ) -> tuple[float, float]:
     """Seeded stratified split then k-nearest-neighbour classification.
 
@@ -227,8 +226,6 @@ def knn_evaluate(
     labels, n_classes = as_class_ids(labels, x.shape[0])
     if not 0.0 < split < 1.0:
         raise InvalidInputError(f"split must be in (0, 1), got {split}")
-    if rng is None:
-        rng = make_rng(0)
     train, test = _stratified_split(labels, split, rng)
     if not 1 <= k <= len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
@@ -297,15 +294,13 @@ def _lloyd(
     return labels, inertia, history
 
 
-def kmeans(x, k: int, rng: Rng | None = None) -> np.ndarray:
+def kmeans(x, k: int, rng: Rng) -> np.ndarray:
     """K-means labels: ++-style seeding, Lloyd iterations to an assignment
     fixpoint (or 300 iterations), best inertia over 10 restarts (first
     restart wins ties)."""
     x = as_matrix(x, "x")
     if not 1 <= k <= x.shape[0]:
         raise InvalidInputError(f"k must be in [1, {x.shape[0]}], got {k}")
-    if rng is None:
-        rng = make_rng(0)
     best_labels, best_inertia = None, math.inf
     for _ in range(10):
         centers = _kmeanspp_init(x, k, rng)

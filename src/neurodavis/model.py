@@ -221,12 +221,11 @@ def _split_layers(model: Model, flat: np.ndarray):
 
 @dataclass
 class ForwardTrace:
-    """Per-layer pre-activations and activations for one batch."""
+    """Per-layer activations for one batch."""
 
     batch_indices: np.ndarray
     latent: np.ndarray  # (m, k); latent layer is linear, h = a
-    hidden_pre: list[np.ndarray]
-    hidden_act: list[np.ndarray]
+    hidden_act: list[np.ndarray]  # ReLU(a); > 0 exactly where a > 0
     recon: np.ndarray  # (m, d); reconstruction layer is linear
 
 
@@ -295,20 +294,18 @@ def _check_indices(model: Model, batch_indices) -> np.ndarray:
 
 
 def _forward(model: Model, idx: np.ndarray):
-    """(latent, hidden pre-activations, hidden activations, recon) for
-    already-validated indices."""
+    """(latent, hidden activations, recon) for already-validated indices."""
     latent = model.latent_table.take(idx, axis=0)
     h = latent
-    hidden_pre, hidden_act = [], []
+    hidden_act = []
     for layer in model.hidden:
-        a = h @ layer.w
-        a += layer.b
-        h = np.maximum(a, 0.0)
-        hidden_pre.append(a)
+        h = h @ layer.w
+        h += layer.b
+        np.maximum(h, 0.0, out=h)
         hidden_act.append(h)
     recon = h @ model.recon.w
     recon += model.recon.b
-    return latent, hidden_pre, hidden_act, recon
+    return latent, hidden_act, recon
 
 
 def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
@@ -416,7 +413,7 @@ def gradients(
         _ws = _Workspace(model)
     else:
         idx = batch_indices
-    latent, hidden_pre, hidden_act, recon = _forward(model, idx)
+    latent, hidden_act, recon = _forward(model, idx)
     alpha, beta = config.alpha, config.beta
     # Every other entry is overwritten below; only the latent rows of the
     # previous batch can be nonzero.
@@ -436,7 +433,7 @@ def gradients(
         layer = model.hidden[li]
         if alpha:
             d_h += _scaled_unit_rows(hidden_act[li], alpha)
-        np.multiply(d_h, hidden_pre[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
+        np.multiply(d_h, hidden_act[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
         below = hidden_act[li - 1] if li > 0 else latent
         grad = _ws.hidden[li]
         np.matmul(below.T, d_h, out=grad.w)

@@ -12,6 +12,7 @@ from neurodavis.analysis import (
 )
 from neurodavis.datasets import Dataset, gen_synthetic
 from neurodavis.errors import InvalidInputError
+from neurodavis.metrics import knn_evaluate
 from neurodavis.model import ModelConfig, init_model
 from neurodavis.numerics import make_rng, spectral_norm
 
@@ -144,21 +145,30 @@ class TestEvaluateEmbedding:
             "agglomerative_fmi",
         }
 
+    def test_knn_uses_the_knn_defaults(self):
+        x = make_rng(4).standard_normal((40, 2))
+        labels = np.repeat([0, 1], 20)
+        values = evaluate_embedding(x, x, labels=labels, metrics=("knn",), rng=make_rng(6))
+        expected = knn_evaluate(x, labels, rng=make_rng(6))
+        assert (values["knn_accuracy"], values["knn_f1_macro"]) == expected
+
     def test_labels_required_for_centroid(self):
         x = np.zeros((10, 2))
         with pytest.raises(InvalidInputError):
-            evaluate_embedding(x, x, metrics=("centroid",))
+            evaluate_embedding(x, x, metrics=("centroid",), rng=make_rng(0))
 
     def test_row_mismatch_rejected_before_clustering(self):
         # labels are checked against x_high's rows; cluster and knn run on x_low
         x = make_rng(5).standard_normal((15, 2))
         with pytest.raises(InvalidInputError, match="row counts differ"):
-            evaluate_embedding(x, x[:14], [0, 1, 2] * 5, metrics=("cluster",))
+            evaluate_embedding(
+                x, x[:14], [0, 1, 2] * 5, metrics=("cluster",), rng=make_rng(0)
+            )
 
     def test_unknown_metric(self):
         x = np.zeros((4, 2))
         with pytest.raises(InvalidInputError):
-            evaluate_embedding(x, x, metrics=("volume",))
+            evaluate_embedding(x, x, metrics=("volume",), rng=make_rng(0))
 
 
 class TestPreservationSuite:

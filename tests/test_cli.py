@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -181,6 +182,12 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: ") and "row 3, column 3" in err
 
+    def test_digit_label_col_is_a_header_name(self, tmp_path, spiral_csv, capsys):
+        argv = ["fit", "--in", str(spiral_csv), "--label-col", "2", "--epochs", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not found in header" in err
+
 
 class TestEval:
     @staticmethod
@@ -312,6 +319,24 @@ class TestPlot:
         path.write_text("x,y\n")
         assert run(["plot", "--embedding", str(path), "--out", str(tmp_path / "o.svg")]) == 2
 
+    def test_label_file_row_count_mismatch_exits_2(self, tmp_path, capsys):
+        emb = self._embedding(tmp_path, n=5, with_labels=False)
+        labels = self._embedding(tmp_path, n=4)
+        out = tmp_path / "o.svg"
+        argv = ["plot", "--embedding", str(emb), "--labels", str(labels), "--out", str(out)]
+        assert run(argv) == 2
+        assert "one label per embedding row" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_separate_label_file_colors_points(self, tmp_path):
+        emb = self._embedding(tmp_path, n=6, with_labels=False)
+        labels = self._embedding(tmp_path, n=6)
+        out = tmp_path / "o.svg"
+        argv = ["plot", "--embedding", str(emb), "--labels", str(labels), "--out", str(out)]
+        assert run(argv) == 0
+        ids = load_csv(labels, label_column="label").labels
+        assert out.read_text() == render_scatter_svg(load_csv(emb).x, ids)
+
     def test_ragged_label_file_exits_2(self, tmp_path, capsys):
         emb = self._embedding(tmp_path, n=3, with_labels=False)
         ragged = tmp_path / "ragged.csv"
@@ -382,9 +407,32 @@ class TestUsage:
         assert run([*argv, "--seed", "-1"]) == 2
         assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "--in", "{csv}", "--epochs", "2"], ["eval", "--high", "{csv}", "--low", "{csv}"]],
+        ids=["fit", "eval"],
+    )
+    def test_header_wider_than_rows_exits_2(self, tmp_path, capsys, argv):
+        # the header fixes the width, so a named label column is never past a row
+        path = tmp_path / "short.csv"
+        path.write_text("x,y,label\n1,2\n3,4\n")
+        assert run([a.format(csv=path) for a in argv] + ["--label-col", "label"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ragged row 2" in err
+        assert "Traceback" not in err
+
     def test_fit_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["fit", "--in", "x.csv"])
         assert _model_config(args) == ModelConfig()
+
+    def test_plot_defaults_are_the_renderer_defaults(self):
+        args = build_parser().parse_args(["plot", "--embedding", "e.csv", "--out", "o.svg"])
+        defaults = inspect.signature(render_scatter_svg).parameters
+        assert (args.width, args.height, args.point_radius) == (
+            defaults["width"].default,
+            defaults["height"].default,
+            defaults["point_radius"].default,
+        )
 
     def test_eval_pair_budget_default_is_the_library_default(self):
         args = build_parser().parse_args(["eval", "--high", "a.csv", "--low", "b.csv"])

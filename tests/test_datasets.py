@@ -127,11 +127,26 @@ class TestCsv:
         assert ds.x.shape == (3, 1)
         assert ds.feature_names == ["a"]
 
-    def test_label_column_by_index_and_remap(self, tmp_path):
+    def test_label_values_remapped_to_dense_ids(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("x,y,c\n0,0,5\n1,1,9\n2,2,5\n")
-        ds = load_csv(p, label_column=2)
+        ds = load_csv(p, label_column="c")
         assert np.array_equal(ds.labels, [0, 1, 0])  # {5, 9} -> {0, 1}
+
+    @pytest.mark.parametrize(
+        "text,label_column,message",
+        [
+            ("x,y,label\n1,2\n3,4\n", "label", "row 2: 2 cells, the header has 3"),
+            ("x,y\n1,2,0\n3,4,1\n", None, "row 2: 3 cells, the header has 2"),
+        ],
+        ids=["header-wider", "header-shorter"],
+    )
+    def test_header_fixes_the_width(self, tmp_path, text, label_column, message):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(CsvParseError, match=message) as err:
+            load_csv(p, label_column=label_column)
+        assert err.value.row == 2
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "0.5"])
     def test_label_cell_not_a_finite_integer(self, tmp_path, cell):
@@ -231,7 +246,9 @@ ENTRY_POINTS = {
     "centroid": lambda x, labels: centroid_distance_preservation(x, x, labels),
     "area": lambda x, labels: cluster_area_preservation(x, x, labels),
     "knn": lambda x, labels: knn_evaluate(x, labels, k=1, rng=make_rng(0)),
-    "cluster": lambda x, labels: evaluate_embedding(x, x, labels, metrics=("cluster",)),
+    "cluster": lambda x, labels: evaluate_embedding(
+        x, x, labels, metrics=("cluster",), rng=make_rng(0)
+    ),
 }
 METRIC_ENTRY_POINTS = [name for name in ENTRY_POINTS if name != "Dataset"]
 

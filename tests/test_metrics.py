@@ -529,7 +529,7 @@ class TestKmeans:
 
     def test_k_too_large(self):
         with pytest.raises(InvalidInputError):
-            kmeans(np.zeros((3, 2)), 4)
+            kmeans(np.zeros((3, 2)), 4, make_rng(0))
 
 
 class TestAgglomerative:

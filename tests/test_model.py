@@ -268,10 +268,10 @@ class TestForward:
     def test_relu_applied_to_hidden_only(self):
         model = init_model(ModelConfig(seed=0, hidden_widths=(4,)), 5, 2)
         trace = forward(model, [0, 1])
+        layer = model.hidden[0]
+        pre = trace.latent @ layer.w + layer.b
         assert np.all(trace.hidden_act[0] >= 0)
-        np.testing.assert_array_equal(
-            trace.hidden_act[0], np.maximum(trace.hidden_pre[0], 0.0)
-        )
+        np.testing.assert_array_equal(trace.hidden_act[0], np.maximum(pre, 0.0))
 
     def test_index_out_of_range(self):
         model = init_model(ModelConfig(), 4, 2)
