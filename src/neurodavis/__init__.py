@@ -26,7 +26,6 @@ from .datasets import (
 from .errors import (
     CsvParseError,
     DegenerateInputError,
-    InvalidConfigError,
     InvalidInputError,
     NeurodavisError,
     TrainingDivergedError,

@@ -43,7 +43,9 @@ from .model import (
 from .numerics import (
     Rng,
     as_class_ids,
+    as_count,
     as_matrix,
+    as_paired,
     make_rng,
     pairwise_euclidean,
     spectral_norm,
@@ -105,10 +107,8 @@ class SuiteResult:
 def check_lemma1(trials: int, max_dim: int, rng: Rng) -> Lemma1Report:
     """Sample random matrices scaled to Frobenius norm <= 1 and step sizes
     eta in (0, 1]; report the largest spectral norm of I - eta*W*W^T seen."""
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
-    if max_dim < 1:
-        raise InvalidInputError(f"max_dim must be >= 1, got {max_dim}")
+    trials = as_count(trials, "trials", 1)
+    max_dim = as_count(max_dim, "max_dim", 1)
     worst = 0.0
     for _ in range(trials):
         rows = int(rng.integers(1, max_dim + 1))
@@ -145,13 +145,13 @@ def check_theorem1(
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    i, j = int(pair[0]), int(pair[1])
-    if not (0 <= i < n and 0 <= j < n) or i == j:
+    i = as_count(pair[0], "pair index", 0, n - 1)
+    j = as_count(pair[1], "pair index", 0, n - 1)
+    if i == j:
         raise InvalidInputError(f"pair must be two distinct row indices, got {pair}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidInputError(f"eta must be in [0, 1], got {eta}")
-    if steps < 0:
-        raise InvalidInputError(f"steps must be >= 0, got {steps}")
+    steps = as_count(steps, "steps", 0)
     delta = 1e-3 * _diameter(x)
     gap_x = float(np.linalg.norm(x[i] - x[j]))
     if gap_x >= delta:
@@ -259,6 +259,7 @@ def check_gradients(n_models: int = 50, seed: int = 0) -> GradientCheckReport:
     loss, and the 1e-4 relative bound would measure the oracle, not
     backpropagation.
     """
+    n_models = as_count(n_models, "n_models", 1)
     rng = make_rng(seed)
     worst = 0.0
     for trial in range(n_models):
@@ -305,12 +306,7 @@ def evaluate_embedding(
     sample, the k-NN split and the k-means seeding draw from ``rng`` in
     the order of ``metrics``.
     """
-    x_high = as_matrix(x_high, "x_high")
-    x_low = as_matrix(x_low, "x_low")
-    if x_high.shape[0] != x_low.shape[0]:
-        raise InvalidInputError(
-            f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
-        )
+    x_high, x_low = as_paired(x_high, x_low)
     labelled = [m for m in metrics if m in ("centroid", "area", "knn", "cluster")]
     if labelled:
         if labels is None:
@@ -365,8 +361,7 @@ def run_preservation_suite(
     area) preservation are added when labels with >= 3 classes exist.
     Deterministic given (dataset, config, n_runs).
     """
-    if n_runs < 1:
-        raise InvalidInputError(f"n_runs must be >= 1, got {n_runs}")
+    n_runs = as_count(n_runs, "n_runs", 1)
     metrics = _suite_metrics(ds, config.latent_dim)
     reports = []
     for r in range(n_runs):

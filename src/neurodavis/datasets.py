@@ -227,17 +227,20 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     The header fixes the width: every data row must have as many cells.
     ``label_column`` names a class-id column by its header; label values
     must be finite integers and are remapped to dense ids starting at 0
-    (ascending original value). Ragged rows and non-numeric cells raise
-    :class:`CsvParseError` with 1-based row/column position.
+    (ascending original value). Empty lines are skipped. Ragged rows and
+    non-numeric cells raise :class:`CsvParseError` with the 1-based row and
+    column position in the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        # csv.reader yields [] for an empty line; each kept row keeps its
+        # 1-based row number in the file
+        rows = [(r, row) for r, row in enumerate(csv.reader(fh), 1) if row]
     if not rows:
         raise CsvParseError("empty file", row=1, col=1)
-    header = [h.strip() for h in rows[0]]
-    rows = rows[1:]
+    (header_row, header), *rows = rows
+    header = [h.strip() for h in header]
     if not rows:
-        raise CsvParseError("no data rows after header", row=2, col=1)
+        raise CsvParseError("no data rows after header", row=header_row + 1, col=1)
     width = len(header)
     label_idx: int | None = None
     if label_column is not None:
@@ -247,26 +250,26 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
             )
         label_idx = header.index(label_column)
     data = np.empty((len(rows), width), dtype=np.float64)
-    # data row r is file row r + 2: file rows count from 1 and row 1 is the header
-    for r, row in enumerate(rows):
+    for r, (file_row, row) in enumerate(rows):
         if len(row) != width:
             raise CsvParseError(
-                f"ragged row {r + 2}: {len(row)} cells, the header has {width}",
-                row=r + 2,
+                f"ragged row {file_row}: {len(row)} cells, the header has {width}",
+                row=file_row,
                 col=len(row) + 1,
             )
         for c, cell in enumerate(row):
-            data[r, c] = _parse_cell(cell.strip(), r + 2, c + 1)
+            data[r, c] = _parse_cell(cell.strip(), file_row, c + 1)
     labels = None
     if label_idx is not None:
         raw = data[:, label_idx]
         bad = np.flatnonzero(~(np.isfinite(raw) & (raw == np.floor(raw))))
         if bad.size:
             r = int(bad[0])
+            file_row = rows[r][0]
             raise CsvParseError(
-                f"label {float(raw[r])!r} at row {r + 2}, column {label_idx + 1} "
+                f"label {float(raw[r])!r} at row {file_row}, column {label_idx + 1} "
                 "is not a finite integer",
-                row=r + 2,
+                row=file_row,
                 col=label_idx + 1,
             )
         # dense ids by ascending value; remapped on the floats, so values

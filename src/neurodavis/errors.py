@@ -9,10 +9,6 @@ class InvalidInputError(NeurodavisError, ValueError):
     """An argument violates an operation's precondition."""
 
 
-class InvalidConfigError(NeurodavisError, ValueError):
-    """A configuration object is internally inconsistent."""
-
-
 class DegenerateInputError(NeurodavisError, ValueError):
     """Input is valid in shape but carries no usable signal (e.g. zero variance)."""
 

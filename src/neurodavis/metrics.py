@@ -21,7 +21,9 @@ from .errors import DegenerateInputError, InvalidInputError
 from .numerics import (
     Rng,
     as_class_ids,
+    as_count,
     as_matrix,
+    as_paired,
     pair_distances,
     pairwise_euclidean,
     sq_distances,
@@ -125,15 +127,8 @@ def distance_preservation(
     spaces, computed over the same pair set: all n(n-1)/2 pairs when
     ``pair_budget`` reaches that total, else ``pair_budget`` pairs drawn
     with ``rng``."""
-    x_high = as_matrix(x_high, "x_high")
-    x_low = as_matrix(x_low, "x_low")
-    if x_high.shape[0] != x_low.shape[0]:
-        raise InvalidInputError(
-            f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
-        )
-    n = x_high.shape[0]
-    budget = min(pair_budget, n * (n - 1) // 2)
-    ii, jj, d_high = pairwise_euclidean(x_high, budget, rng)
+    x_high, x_low = as_paired(x_high, x_low)
+    ii, jj, d_high = pairwise_euclidean(x_high, pair_budget, rng)
     d_low = pair_distances(x_low, ii, jj)
     return spearman_rho(d_high, d_low)
 
@@ -148,10 +143,7 @@ def _centroids(x: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
 def centroid_distance_preservation(x_high, x_low, labels) -> float:
     """Spearman correlation between pairwise distances of per-class centroids
     in the two spaces. Needs >= 3 classes for a meaningful rank correlation."""
-    x_high = as_matrix(x_high, "x_high")
-    x_low = as_matrix(x_low, "x_low")
-    if x_high.shape[0] != x_low.shape[0]:
-        raise InvalidInputError("row counts differ")
+    x_high, x_low = as_paired(x_high, x_low)
     labels, n_classes = as_class_ids(labels, x_high.shape[0])
     if n_classes < 3:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
@@ -165,12 +157,9 @@ def centroid_distance_preservation(x_high, x_low, labels) -> float:
 def cluster_area_preservation(x_high, x_low, labels) -> float:
     """Pearson correlation between per-class axis-aligned bounding-rectangle
     areas in two 2-D spaces. Singleton classes contribute area 0."""
-    x_high = as_matrix(x_high, "x_high")
-    x_low = as_matrix(x_low, "x_low")
+    x_high, x_low = as_paired(x_high, x_low)
     if x_high.shape[1] != 2 or x_low.shape[1] != 2:
         raise InvalidInputError("both spaces must be 2-D")
-    if x_high.shape[0] != x_low.shape[0]:
-        raise InvalidInputError("row counts differ")
     labels, n_classes = as_class_ids(labels, x_high.shape[0])
     if n_classes < 3:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
@@ -227,8 +216,7 @@ def knn_evaluate(
     if not 0.0 < split < 1.0:
         raise InvalidInputError(f"split must be in (0, 1), got {split}")
     train, test = _stratified_split(labels, split, rng)
-    if not 1 <= k <= len(train):
-        raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
+    k = as_count(k, "k", 1, len(train))
     preds = np.empty(len(test), dtype=np.int64)
     dists = np.sqrt(sq_distances(x[test], x[train]))
     for t in range(len(test)):
@@ -299,8 +287,7 @@ def kmeans(x, k: int, rng: Rng) -> np.ndarray:
     fixpoint (or 300 iterations), best inertia over 10 restarts (first
     restart wins ties)."""
     x = as_matrix(x, "x")
-    if not 1 <= k <= x.shape[0]:
-        raise InvalidInputError(f"k must be in [1, {x.shape[0]}], got {k}")
+    k = as_count(k, "k", 1, x.shape[0])
     best_labels, best_inertia = None, math.inf
     for _ in range(10):
         centers = _kmeanspp_init(x, k, rng)
@@ -320,8 +307,7 @@ def agglomerative(x, k: int) -> np.ndarray:
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidInputError(f"k must be in [1, {n}], got {k}")
+    k = as_count(k, "k", 1, n)
     dist = sq_distances(x, x)
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, np.inf)

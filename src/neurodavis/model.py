@@ -27,19 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    TrainingDivergedError,
-)
-from .numerics import Rng, as_matrix, make_rng, spawn_rng
+from .errors import InvalidInputError, TrainingDivergedError
+from .numerics import Rng, as_count, as_matrix, make_rng, spawn_rng
 
 __all__ = [
     "Convergence",
@@ -68,18 +63,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _count(value, name: str, low: int) -> int:
-    """``value`` as a Python int >= ``low``; any integer type passes, a float
-    does not."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        count = None
-    if count is None or count < low:
-        raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-    return count
-
-
 @dataclass(frozen=True)
 class Convergence:
     """Early stopping: halt when the relative loss improvement over the last
@@ -89,9 +72,9 @@ class Convergence:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
-        object.__setattr__(self, "window", _count(self.window, "convergence window", 2))
+        object.__setattr__(self, "window", as_count(self.window, "convergence window", 2))
         if not 0 <= self.rel_tol < math.inf:
-            raise InvalidConfigError("convergence rel_tol must be finite and >= 0")
+            raise InvalidInputError("convergence rel_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,18 +100,18 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, low in (("latent_dim", 1), ("epochs", 1), ("seed", 0)):
-            object.__setattr__(self, name, _count(getattr(self, name), name, low))
+            object.__setattr__(self, name, as_count(getattr(self, name), name, low))
         if self.batch_size is not None:
-            object.__setattr__(self, "batch_size", _count(self.batch_size, "batch_size", 1))
+            object.__setattr__(self, "batch_size", as_count(self.batch_size, "batch_size", 1))
         if self.hidden_widths is not None:
-            widths = tuple(_count(w, "hidden width", 1) for w in self.hidden_widths)
+            widths = tuple(as_count(w, "hidden width", 1) for w in self.hidden_widths)
             object.__setattr__(self, "hidden_widths", widths)
         if not all(map(math.isfinite, (self.alpha, self.beta, self.learning_rate))):
-            raise InvalidConfigError("alpha, beta and learning_rate must be finite")
+            raise InvalidInputError("alpha, beta and learning_rate must be finite")
         if self.alpha < 0 or self.beta < 0:
-            raise InvalidConfigError("alpha and beta must be >= 0")
+            raise InvalidInputError("alpha and beta must be >= 0")
         if self.learning_rate <= 0:
-            raise InvalidConfigError("learning_rate must be > 0")
+            raise InvalidInputError("learning_rate must be > 0")
 
     def resolved_hidden(self, d: int) -> tuple[int, ...]:
         if self.hidden_widths is not None:

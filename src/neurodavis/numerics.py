@@ -6,8 +6,9 @@ one set against every row of another.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
-the package can assume well-formed matrices; ``as_class_ids`` is the one
-check of class labels.
+the package can assume well-formed matrices. Each kind of input has one
+check here: ``as_matrix`` for a matrix, ``as_paired`` for two row-aligned
+spaces, ``as_class_ids`` for class labels and ``as_count`` for a count.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
@@ -17,6 +18,8 @@ ascending rank order like the all-pairs set.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -28,22 +31,30 @@ Rng = np.random.Generator
 _PAIR_CHUNK = 1 << 18
 
 
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    """SeedSequence for ``seed``, a non-negative integer of any integer type."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.SeedSequence(int(seed))
-
-
 def make_rng(seed: int) -> Rng:
     """Seeded Philox generator; equal seeds give equal streams everywhere."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+    seq = np.random.SeedSequence(as_count(seed, "seed", 0))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def spawn_rng(seed: int, stream: int) -> Rng:
     """Independent child generator ``stream`` derived from ``seed``."""
-    children = _seed_sequence(seed).spawn(stream + 1)
-    return np.random.Generator(np.random.Philox(children[stream]))
+    seq = np.random.SeedSequence(as_count(seed, "seed", 0))
+    stream = as_count(stream, "stream", 0)
+    return np.random.Generator(np.random.Philox(seq.spawn(stream + 1)[stream]))
+
+
+def as_count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int in [``low``, ``high``] (no upper bound when
+    ``high`` is None); any integer type passes, a float does not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low or (high is not None and count > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
+    return count
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -54,6 +65,18 @@ def as_matrix(x, name: str = "x") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return a
+
+
+def as_paired(x_high, x_low) -> tuple[np.ndarray, np.ndarray]:
+    """Two row-aligned spaces, each through ``as_matrix``; their row counts
+    must agree."""
+    x_high = as_matrix(x_high, "x_high")
+    x_low = as_matrix(x_low, "x_low")
+    if x_high.shape[0] != x_low.shape[0]:
+        raise InvalidInputError(
+            f"row counts differ: {x_high.shape[0]} vs {x_low.shape[0]}"
+        )
+    return x_high, x_low
 
 
 def as_class_ids(labels, n: int) -> tuple[np.ndarray, int]:
@@ -134,7 +157,7 @@ def pairwise_euclidean(
 
     Returns parallel arrays ``(ii, jj, d)`` with ``ii < jj``, in ascending
     lexicographic pair rank; zipping them yields ``(i, j, distance)``
-    triples. Without a budget (or with one equal to the total) all
+    triples. Without a budget (or with one at or above the total) all
     n(n-1)/2 pairs are produced. With ``pair_budget`` below the total, that
     many ranks are drawn uniformly without replacement by
     ``rng.choice(total, pair_budget, replace=False)``, which requires
@@ -147,9 +170,9 @@ def pairwise_euclidean(
     if n < 2:
         raise InvalidInputError(f"need at least 2 rows, got {n}")
     total = n * (n - 1) // 2
-    budget = total if pair_budget is None else pair_budget
-    if not 1 <= budget <= total:
-        raise InvalidInputError(f"pair_budget must be in [1, {total}], got {budget}")
+    budget = total
+    if pair_budget is not None:
+        budget = min(as_count(pair_budget, "pair_budget", 1), total)
     if budget < total:
         if rng is None:
             raise InvalidInputError("pair sampling requires an rng")

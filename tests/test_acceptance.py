@@ -7,8 +7,6 @@ threshold but leaves quality margin on the table (see README for the
 calibration notes). All seeds are fixed; the whole suite is deterministic.
 """
 
-import itertools
-import math
 import time
 
 import numpy as np
@@ -17,6 +15,14 @@ import pytest
 import neurodavis as nd
 from neurodavis.cli import main as cli_main
 from neurodavis.numerics import make_rng
+from oracles import (
+    oracle_ari,
+    oracle_average_linkage,
+    oracle_fmi,
+    oracle_mwu_exact,
+    oracle_pearson,
+    oracle_ranks,
+)
 
 SYNTH_KINDS = ("elliptic_ring", "olympic", "spiral", "shape")
 SYNTH_THRESHOLD = 0.90
@@ -233,89 +239,8 @@ class TestCriterion8Determinism:
         )
 
 
-def oracle_ranks(a):
-    return [1 + sum(u < v for u in a) + (sum(u == v for u in a) - 1) / 2 for v in a]
-
-
-def oracle_pearson(x, y):
-    n = len(x)
-    mx, my = sum(x) / n, sum(y) / n
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
-    return sxy / math.sqrt(sxx * syy)
-
-
-def oracle_mwu_exact_p(a, b):
-    combined = list(a) + list(b)
-    n1 = len(a)
-    mu = n1 * len(b) / 2
-
-    def u_of(first):
-        second = combined.copy()
-        for v in first:
-            second.remove(v)
-        return sum(
-            1.0 if x > y else (0.5 if x == y else 0.0)
-            for x in first
-            for y in second
-        )
-
-    observed = abs(u_of(list(a)) - mu)
-    hits = total = 0
-    for pos in itertools.combinations(range(len(combined)), n1):
-        total += 1
-        if abs(u_of([combined[p] for p in pos]) - mu) >= observed - 1e-12:
-            hits += 1
-    return hits / total
-
-
-def oracle_pair_indices(lt, lp):
-    tp = fp = fn = 0
-    for i in range(len(lt)):
-        for j in range(i + 1, len(lt)):
-            same_t, same_p = lt[i] == lt[j], lp[i] == lp[j]
-            tp += same_t and same_p
-            fp += (not same_t) and same_p
-            fn += same_t and (not same_p)
-    total = len(lt) * (len(lt) - 1) // 2
-    rows, cols = tp + fn, tp + fp
-    expected = rows * cols / total
-    maximum = (rows + cols) / 2
-    ari_val = 1.0 if maximum == expected else (tp - expected) / (maximum - expected)
-    fmi_val = 0.0 if rows == 0 or cols == 0 else tp / math.sqrt(rows * cols)
-    return ari_val, fmi_val
-
-
-def oracle_average_linkage(x, k):
-    clusters = [[i] for i in range(len(x))]
-    while len(clusters) > k:
-        best = None
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                d = float(
-                    np.mean(
-                        [
-                            np.linalg.norm(x[i] - x[j])
-                            for i in clusters[a]
-                            for j in clusters[b]
-                        ]
-                    )
-                )
-                lo, hi = sorted((min(clusters[a]), min(clusters[b])))
-                if best is None or (d, lo, hi) < best[0]:
-                    best = ((d, lo, hi), a, b)
-        _, a, b = best
-        merged = sorted(clusters[a] + clusters[b])
-        clusters = [c for i, c in enumerate(clusters) if i not in (a, b)] + [merged]
-    labels = np.empty(len(x), dtype=int)
-    for cid, members in enumerate(sorted(clusters, key=min)):
-        labels[members] = cid
-    return labels
-
-
 class TestCriterion9MetricOracles:
-    """Committed n <= 8 fixtures vs inline brute-force oracles.
+    """Committed n <= 8 fixtures vs the brute-force oracles in ``oracles``.
 
     Pair-counting results (ARI, FMI, merge structure) must agree exactly;
     correlation oracles reduce in a different summation order, so those
@@ -357,11 +282,10 @@ class TestCriterion9MetricOracles:
                 1.0 if x > y else (0.5 if x == y else 0.0) for x in a for y in b
             )
             ok &= u == u_direct
-            ok &= abs(p - oracle_mwu_exact_p(a, b)) < 0.15
+            ok &= abs(p - oracle_mwu_exact(a, b)) < 0.15
         for lt, lp in self.LABEL_FIXTURES:
-            ari_expected, fmi_expected = oracle_pair_indices(lt, lp)
-            ok &= nd.ari(lt, lp) == ari_expected
-            ok &= nd.fmi(lt, lp) == fmi_expected
+            ok &= nd.ari(lt, lp) == oracle_ari(lt, lp)
+            ok &= nd.fmi(lt, lp) == oracle_fmi(lt, lp)
         rng = make_rng(99)
         for n in range(2, 9):
             x = rng.standard_normal((n, 2))

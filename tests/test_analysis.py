@@ -77,6 +77,18 @@ class TestTheorem1:
         with pytest.raises(InvalidInputError):
             check_theorem1(x, (0, 1), eta=1.5, steps=5, rng=make_rng(0))
 
+    def test_fractional_pair_index_rejected(self):
+        # rows 0 and 20 are a valid close pair; 0.5 is not a row index
+        x = self._data_with_duplicate(n=21)
+        x[20] = x[0]
+        with pytest.raises(InvalidInputError, match="pair index must be an integer"):
+            check_theorem1(x, (0.5, 20), eta=0.5, steps=5, rng=make_rng(0))
+
+    def test_same_row_twice_rejected(self):
+        x = self._data_with_duplicate()
+        with pytest.raises(InvalidInputError, match="two distinct row indices"):
+            check_theorem1(x, (1, 1), eta=0.5, steps=5, rng=make_rng(0))
+
     def test_monotone_property_flags_increase(self):
         trace = ContractionTrace(
             gaps=np.array([1.0, 0.9, 0.95]), recon_fro=np.ones(3)
@@ -89,6 +101,10 @@ class TestGradientCheck:
         report = check_gradients(n_models=6, seed=0)
         assert report.passed
         assert report.max_rel_error < 1e-4
+
+    def test_no_models_rejected(self):
+        with pytest.raises(InvalidInputError, match="n_models must be an integer >= 1"):
+            check_gradients(0, 0)
 
     def test_passes_on_twenty_seeds(self):
         # the 1e-4 bound holds at every seed, not only the documented one

@@ -207,6 +207,34 @@ class TestCsv:
             load_csv(p)
         assert err.value.row == 3
 
+    def test_empty_lines_skipped(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("\na,b\n1,2\n\n3,4\n\n")
+        ds = load_csv(p)
+        assert ds.feature_names == ["a", "b"]
+        assert ds.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_ragged_row_after_empty_line_keeps_file_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n\n3\n")
+        with pytest.raises(CsvParseError, match="ragged row 4: ") as err:
+            load_csv(p)
+        assert (err.value.row, err.value.col) == (4, 2)
+
+    def test_line_of_spaces_is_a_ragged_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,b\n1,2\n   \n3,4\n")
+        with pytest.raises(CsvParseError, match="ragged row 3: 1 cells") as err:
+            load_csv(p)
+        assert err.value.row == 3
+
+    def test_label_error_after_empty_line_keeps_file_row(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("a,label\n1,0\n\n2,0.5\n")
+        with pytest.raises(CsvParseError, match="at row 4, column 2") as err:
+            load_csv(p, label_column="label")
+        assert (err.value.row, err.value.col) == (4, 2)
+
     def test_non_numeric_cell_position(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n3,oops\n")

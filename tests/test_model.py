@@ -6,11 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neurodavis.errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    TrainingDivergedError,
-)
+from neurodavis.errors import InvalidInputError, TrainingDivergedError
 from neurodavis.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -132,42 +128,42 @@ def reference_adam(model, grads, cfg):
 
 class TestConfig:
     def test_invalid_values(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             ModelConfig(latent_dim=0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             ModelConfig(hidden_widths=(4, 0))
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             ModelConfig(learning_rate=0.0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             ModelConfig(batch_size=0)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             ModelConfig(convergence=Convergence(window=1))
         nan, inf = float("nan"), float("inf")
         for field in ("alpha", "beta", "learning_rate"):
             for value in (nan, inf):
-                with pytest.raises(InvalidConfigError):
+                with pytest.raises(InvalidInputError):
                     ModelConfig(**{field: value})
         for value in (nan, inf, -inf, -1e-5):
-            with pytest.raises(InvalidConfigError):
+            with pytest.raises(InvalidInputError):
                 ModelConfig(convergence=Convergence(window=5, rel_tol=value))
         ModelConfig(convergence=Convergence(rel_tol=0.0))  # zero is valid
 
     @pytest.mark.parametrize(
-        "make",
+        "make, name",
         [
-            lambda: ModelConfig(epochs=2.5),
-            lambda: ModelConfig(latent_dim=1.5),
-            lambda: ModelConfig(batch_size=2.5),
-            lambda: ModelConfig(hidden_widths=(2.5,)),
-            lambda: ModelConfig(seed=1.5),
-            lambda: ModelConfig(seed=-1),
-            lambda: Convergence(window=2.5),
+            (lambda: ModelConfig(epochs=2.5), "epochs"),
+            (lambda: ModelConfig(latent_dim=1.5), "latent_dim"),
+            (lambda: ModelConfig(batch_size=2.5), "batch_size"),
+            (lambda: ModelConfig(hidden_widths=(2.5,)), "hidden width"),
+            (lambda: ModelConfig(seed=1.5), "seed"),
+            (lambda: ModelConfig(seed=-1), "seed"),
+            (lambda: Convergence(window=2.5), "convergence window"),
         ],
         ids=["epochs", "latent_dim", "batch_size", "hidden_widths", "seed", "negative-seed",
              "window"],
     )
-    def test_non_integer_or_out_of_range_counts_rejected(self, make):
-        with pytest.raises(InvalidConfigError, match="must be an integer >= "):
+    def test_non_integer_or_out_of_range_counts_rejected(self, make, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= "):
             make()
 
     def test_numpy_integer_counts_stored_as_int(self):

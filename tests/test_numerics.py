@@ -139,8 +139,13 @@ class TestPairwiseEuclidean:
             pairwise_euclidean([[1.0, 2.0]])
 
     def test_bad_budget(self):
-        with pytest.raises(InvalidInputError):
-            pairwise_euclidean(np.zeros((3, 2)), pair_budget=10, rng=make_rng(0))
+        # a budget above the total (3 pairs) means all pairs and needs no rng
+        x = make_rng(6).standard_normal((3, 2))
+        for got, want in zip(pairwise_euclidean(x, pair_budget=10), pairwise_euclidean(x)):
+            assert got.tobytes() == want.tobytes()
+        for budget in (0, -1, 2.5):
+            with pytest.raises(InvalidInputError, match="pair_budget must be an integer >= 1"):
+                pairwise_euclidean(x, pair_budget=budget, rng=make_rng(0))
 
     def test_pair_distances_matches(self):
         x = make_rng(2).standard_normal((9, 3))
