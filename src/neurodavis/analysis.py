@@ -55,6 +55,8 @@ LEMMA1_TOLERANCE = 1e-9
 THEOREM1_REL_TOLERANCE = 1e-9
 GRADIENT_TOLERANCE = 1e-4
 FINITE_DIFFERENCE_STEP = 1e-6
+# evaluate_embedding's selections; every one after the first needs labels.
+METRICS = ("distance", "centroid", "area", "knn", "cluster")
 # False on builds whose long double is plain float64 (MSVC, Apple arm64).
 LONGDOUBLE_EXTENDS_FLOAT64 = bool(
     np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
@@ -123,11 +125,6 @@ def check_lemma1(trials: int, max_dim: int, rng: Rng) -> Lemma1Report:
     return Lemma1Report(trials=trials, max_dim=max_dim, max_norm=worst)
 
 
-def _diameter(x: np.ndarray) -> float:
-    _, _, d = pairwise_euclidean(x)
-    return float(d.max())
-
-
 def check_theorem1(
     x,
     pair: tuple[int, int],
@@ -152,7 +149,7 @@ def check_theorem1(
     if not 0.0 <= eta <= 1.0:
         raise InvalidInputError(f"eta must be in [0, 1], got {eta}")
     steps = as_count(steps, "steps", 0)
-    delta = 1e-3 * _diameter(x)
+    delta = 1e-3 * float(pairwise_euclidean(x)[2].max())  # the diameter's
     gap_x = float(np.linalg.norm(x[i] - x[j]))
     if gap_x >= delta:
         raise InvalidInputError(
@@ -304,10 +301,14 @@ def evaluate_embedding(
     ``cluster`` (k-means and agglomerative labelings with one cluster per
     label, scored by ARI/FMI against the true labels). The distance pair
     sample, the k-NN split and the k-means seeding draw from ``rng`` in
-    the order of ``metrics``.
+    the order of ``metrics``. An unknown selection raises before any metric
+    runs or draws from ``rng``.
     """
+    unknown = [m for m in metrics if m not in METRICS]
+    if unknown:
+        raise InvalidInputError(f"unknown metric {unknown[0]!r}")
     x_high, x_low = as_paired(x_high, x_low)
-    labelled = [m for m in metrics if m in ("centroid", "area", "knn", "cluster")]
+    labelled = [m for m in metrics if m in METRICS[1:]]
     if labelled:
         if labels is None:
             raise InvalidInputError(f"{labelled[0]} metric requires labels")
@@ -335,8 +336,6 @@ def evaluate_embedding(
             out["kmeans_fmi"] = fmi(labels, km)
             out["agglomerative_ari"] = ari(labels, ag)
             out["agglomerative_fmi"] = fmi(labels, ag)
-        else:
-            raise InvalidInputError(f"unknown metric {metric!r}")
     return out
 
 

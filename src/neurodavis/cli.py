@@ -22,12 +22,20 @@ import numpy as np
 from .analysis import (
     GRADIENT_TOLERANCE,
     LEMMA1_TOLERANCE,
+    METRICS,
     check_gradients,
     check_lemma1,
     check_theorem1,
     evaluate_embedding,
 )
-from .datasets import Dataset, gen_synthetic, lift9, load_csv, save_csv
+from .datasets import (
+    SYNTHETIC_KINDS,
+    Dataset,
+    gen_synthetic,
+    lift9,
+    load_csv,
+    save_csv,
+)
 from .errors import NeurodavisError, TrainingDivergedError
 from .metrics import DEFAULT_PAIR_BUDGET, mann_whitney_u
 from .model import Convergence, ModelConfig, embed, fit, save_checkpoint
@@ -137,11 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="write a synthetic benchmark as CSV")
-    p_gen.add_argument(
-        "--kind",
-        required=True,
-        choices=["elliptic_ring", "olympic", "spiral", "shape", "world_map"],
-    )
+    p_gen.add_argument("--kind", required=True, choices=SYNTHETIC_KINDS)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--lift9", action="store_true", help="apply the 9-D lift")
     p_gen.add_argument("--out", required=True)
@@ -163,9 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--label-col", default=None, help="header name of the label column in --high"
     )
     p_eval.add_argument(
-        "--metrics",
-        default="distance",
-        help="comma list from: distance,centroid,area,knn,cluster",
+        "--metrics", default="distance", help=f"comma list from: {','.join(METRICS)}"
     )
     p_eval.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p_eval.add_argument(
@@ -278,27 +280,21 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "metrics_requested": list(metrics),
     }
+    scored = {"metrics": low}
+    if compare is not None:
+        scored["compare_metrics"] = compare
     runs = []
     for r in range(args.runs):
-        rng = make_rng(args.seed + r)
-        values = evaluate_embedding(
-            high.x,
-            low.x,
-            labels=high.labels,
-            metrics=metrics,
-            pair_budget=args.pair_budget,
-            rng=rng,
-        )
-        entry = {"seed": args.seed + r, "metrics": values}
-        if compare is not None:
-            rng_cmp = make_rng(args.seed + r)  # identical pair samples
-            entry["compare_metrics"] = evaluate_embedding(
+        entry = {"seed": args.seed + r}
+        for key, emb in scored.items():
+            # a fresh generator per embedding: identical pair samples
+            entry[key] = evaluate_embedding(
                 high.x,
-                compare.x,
+                emb.x,
                 labels=high.labels,
                 metrics=metrics,
                 pair_budget=args.pair_budget,
-                rng=rng_cmp,
+                rng=make_rng(args.seed + r),
             )
         runs.append(entry)
     doc["runs"] = runs
@@ -419,16 +415,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # built per call, so a cmd_* name rebound after import (by a probe) is used
-    handlers = {
-        "gen": cmd_gen,
-        "fit": cmd_fit,
-        "eval": cmd_eval,
-        "plot": cmd_plot,
-        "check": cmd_check,
-    }
+    # looked up per call, so a cmd_* name rebound after import (by a probe)
+    # is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (NeurodavisError, OSError) as exc:  # bad input, unwritable output
         return _fail(str(exc))
 

@@ -18,9 +18,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import CsvParseError, InvalidInputError
-from .numerics import Rng, as_class_ids, as_matrix
-
-SYNTHETIC_KINDS = ("elliptic_ring", "olympic", "spiral", "shape", "world_map")
+from .numerics import Rng, as_class_ids, as_matrix, dense_ids, non_integers
 
 LIFT9_FEATURES = ("x+y", "x-y", "xy", "x^2", "y^2", "x^2y", "xy^2", "x^3", "y^3")
 
@@ -180,6 +178,7 @@ _GENERATORS = {
     "shape": _gen_shape,
     "world_map": _gen_world_map,
 }
+SYNTHETIC_KINDS = tuple(_GENERATORS)
 
 
 def gen_synthetic(kind: str, rng: Rng) -> Dataset:
@@ -262,7 +261,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     labels = None
     if label_idx is not None:
         raw = data[:, label_idx]
-        bad = np.flatnonzero(~(np.isfinite(raw) & (raw == np.floor(raw))))
+        bad = non_integers(raw)
         if bad.size:
             r = int(bad[0])
             file_row = rows[r][0]
@@ -272,11 +271,7 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
                 row=file_row,
                 col=label_idx + 1,
             )
-        # dense ids by ascending value; remapped on the floats, so values
-        # past the int64 range stay distinct
-        values = np.sort(raw)
-        values = values[np.r_[True, values[1:] != values[:-1]]]
-        labels = np.searchsorted(values, raw)
+        labels = dense_ids(raw)
         data = np.delete(data, label_idx, axis=1)
         header = header[:label_idx] + header[label_idx + 1 :]
     return Dataset(data, labels=labels, feature_names=header, name="")

@@ -22,14 +22,19 @@ from .numerics import (
     Rng,
     as_class_ids,
     as_count,
+    as_labeling,
     as_matrix,
     as_paired,
+    as_vector,
+    dense_ids,
     pair_distances,
     pairwise_euclidean,
     sq_distances,
 )
 
 DEFAULT_PAIR_BUDGET = 2_000_000
+# Share of each class that knn_evaluate's stratified split sends to train.
+KNN_SPLIT = 0.8
 
 
 @dataclass
@@ -42,16 +47,9 @@ class EvalReport:
     metrics: dict[str, float] = field(default_factory=dict)
 
 
-def _as_vector(a, name: str) -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64).ravel()
-    if v.size and not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    return v
-
-
 def rank_average(a) -> np.ndarray:
     """Average-tie (fractional) ranks, 1-based."""
-    a = _as_vector(a, "a")
+    a = as_vector(a, "a")
     order = np.argsort(a)  # ranks of tied values do not depend on their order
     sorted_a = a[order]
     group = np.cumsum(np.r_[0, np.diff(sorted_a) != 0])
@@ -63,32 +61,24 @@ def rank_average(a) -> np.ndarray:
     return ranks
 
 
-def _pearson_from(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = float(np.dot(xc, xc))
-    sy = float(np.dot(yc, yc))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateInputError("zero variance input to correlation")
-    return float(np.dot(xc, yc) / math.sqrt(sx * sy))
-
-
 def pearson_r(a, b) -> float:
     """Pearson correlation coefficient."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
+    a, b = as_vector(a, "a"), as_vector(b, "b")
     if len(a) != len(b) or len(a) < 2:
         raise InvalidInputError("inputs must have equal length >= 2")
-    return _pearson_from(a, b)
+    ac = a - a.mean()
+    bc = b - b.mean()
+    sa = float(np.dot(ac, ac))
+    sb = float(np.dot(bc, bc))
+    if sa == 0.0 or sb == 0.0:
+        raise DegenerateInputError("zero variance input to correlation")
+    return float(np.dot(ac, bc) / math.sqrt(sa * sb))
 
 
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation: Pearson correlation of average-tie ranks."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if len(a) != len(b) or len(a) < 2:
-        raise InvalidInputError("inputs must have equal length >= 2")
-    return _pearson_from(rank_average(a), rank_average(b))
+    a, b = as_vector(a, "a"), as_vector(b, "b")
+    return pearson_r(rank_average(a), rank_average(b))
 
 
 def _norm_sf(z: float) -> float:
@@ -99,8 +89,7 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     """Rank-sum U statistic for ``a`` (ties counted half) and a two-sided
     p-value from the tie-corrected normal approximation with continuity
     correction. Swapping the samples maps U to n1*n2 - U, p unchanged."""
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
+    a, b = as_vector(a, "a"), as_vector(b, "b")
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise InvalidInputError("both samples must be nonempty")
@@ -124,10 +113,11 @@ def distance_preservation(
     rng: Rng | None = None,
 ) -> float:
     """Spearman correlation between pairwise distances in two row-aligned
-    spaces, computed over the same pair set: all n(n-1)/2 pairs when
-    ``pair_budget`` reaches that total, else ``pair_budget`` pairs drawn
-    with ``rng``."""
+    spaces, computed over the same pair set: all n(n-1)/2 pairs when the
+    integer ``pair_budget`` reaches that total, else ``pair_budget`` pairs
+    drawn with ``rng``."""
     x_high, x_low = as_paired(x_high, x_low)
+    pair_budget = as_count(pair_budget, "pair_budget", 1)
     ii, jj, d_high = pairwise_euclidean(x_high, pair_budget, rng)
     d_low = pair_distances(x_low, ii, jj)
     return spearman_rho(d_high, d_low)
@@ -149,9 +139,7 @@ def centroid_distance_preservation(x_high, x_low, labels) -> float:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
     c_high = _centroids(x_high, labels, n_classes)
     c_low = _centroids(x_low, labels, n_classes)
-    _, _, d_high = pairwise_euclidean(c_high)
-    _, _, d_low = pairwise_euclidean(c_low)
-    return spearman_rho(d_high, d_low)
+    return spearman_rho(pairwise_euclidean(c_high)[2], pairwise_euclidean(c_low)[2])
 
 
 def cluster_area_preservation(x_high, x_low, labels) -> float:
@@ -175,18 +163,16 @@ def cluster_area_preservation(x_high, x_low, labels) -> float:
     return pearson_r(areas(x_high), areas(x_low))
 
 
-def _stratified_split(
-    labels: np.ndarray, split: float, rng: Rng
-) -> tuple[np.ndarray, np.ndarray]:
+def _stratified_split(labels: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Class by class in id order: shuffle the class's rows with ``rng`` and
-    send round(split * size) of them, at least one, to train, the rest to
-    test."""
+    send round(KNN_SPLIT * size) of them, at least one, to train, the rest
+    to test."""
     train_parts, test_parts = [], []
     # a stable sort groups the rows by class, ascending within each class
     by_class = np.argsort(labels, kind="stable")
     for idx in np.split(by_class, np.cumsum(np.bincount(labels))[:-1]):
         idx = idx[rng.permutation(len(idx))]
-        n_train = max(int(round(split * len(idx))), 1)
+        n_train = max(int(round(KNN_SPLIT * len(idx))), 1)
         train_parts.append(idx[:n_train])
         test_parts.append(idx[n_train:])
     train = np.sort(np.concatenate(train_parts))
@@ -200,11 +186,11 @@ def knn_evaluate(
     embedding,
     labels,
     k: int = 5,
-    split: float = 0.8,
     *,
     rng: Rng,
 ) -> tuple[float, float]:
-    """Seeded stratified split then k-nearest-neighbour classification.
+    """Seeded stratified split (``KNN_SPLIT`` of each class to train) then
+    k-nearest-neighbour classification.
 
     Neighbours are ordered by (distance, original row index); vote ties go to
     the tied class whose representative appears earliest in that order.
@@ -213,9 +199,7 @@ def knn_evaluate(
     """
     x = as_matrix(embedding, "embedding")
     labels, n_classes = as_class_ids(labels, x.shape[0])
-    if not 0.0 < split < 1.0:
-        raise InvalidInputError(f"split must be in (0, 1), got {split}")
-    train, test = _stratified_split(labels, split, rng)
+    train, test = _stratified_split(labels, rng)
     k = as_count(k, "k", 1, len(train))
     preds = np.empty(len(test), dtype=np.int64)
     dists = np.sqrt(sq_distances(x[test], x[train]))
@@ -323,27 +307,16 @@ def agglomerative(x, k: int) -> np.ndarray:
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
         owner[owner == j] = i
-    return np.unique(owner, return_inverse=True)[1]
+    return dense_ids(owner)
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1) // 2
 
 
-def _cluster_index(labels) -> np.ndarray:
-    """Dense 0-based index of each id in a nonempty labeling of finite
-    integers (any values, not necessarily dense)."""
-    a = np.asarray(labels).ravel()
-    if a.size == 0 or a.dtype.kind not in "biuf":
-        raise InvalidInputError("labelings must be nonempty and numeric")
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
-        raise InvalidInputError("labelings must be finite integers")
-    return np.unique(a, return_inverse=True)[1]
-
-
 def _contingency(labels_true, labels_pred) -> tuple[np.ndarray, int]:
-    ti = _cluster_index(labels_true)
-    pi = _cluster_index(labels_pred)
+    ti = as_labeling(labels_true)
+    pi = as_labeling(labels_pred)
     if ti.shape != pi.shape:
         raise InvalidInputError("labelings must have equal length")
     table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)

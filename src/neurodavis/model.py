@@ -250,8 +250,7 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     weights Glorot-uniform, biases zero, Adam moments zero. Deterministic
     given ``config.seed`` (latent drawn first, then layers input-to-output).
     """
-    if n < 1 or d < 1:
-        raise InvalidInputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    n, d = as_count(n, "n", 1), as_count(d, "d", 1)
     dims = (n, config.latent_dim, *config.resolved_hidden(d), d)
     size = sum(math.prod(shape) for _, shape in _shapes(dims))
     model = Model(dims, np.zeros(size), np.zeros(size), np.zeros(size))

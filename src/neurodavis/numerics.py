@@ -8,7 +8,10 @@ Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
 the package can assume well-formed matrices. Each kind of input has one
 check here: ``as_matrix`` for a matrix, ``as_paired`` for two row-aligned
-spaces, ``as_class_ids`` for class labels and ``as_count`` for a count.
+spaces, ``as_vector`` for a vector of values, ``as_class_ids`` for class
+labels, ``as_labeling`` for a clustering's labels and ``as_count`` for a
+count. ``non_integers`` is the one finite-integer test and ``dense_ids`` the
+one ascending-value remap behind the two label checks and ``load_csv``.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
@@ -79,6 +82,48 @@ def as_paired(x_high, x_low) -> tuple[np.ndarray, np.ndarray]:
     return x_high, x_low
 
 
+def as_vector(a, name: str) -> np.ndarray:
+    """Flatten to a float64 vector of finite values or raise."""
+    v = np.asarray(a, dtype=np.float64).ravel()
+    if v.size and not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return v
+
+
+def non_integers(a: np.ndarray) -> np.ndarray:
+    """Flat indices of the entries of numeric ``a`` that are not finite
+    integers; an integer or boolean array has none."""
+    if a.dtype.kind != "f":
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~(np.isfinite(a) & (a == np.floor(a))))
+
+
+def dense_ids(a: np.ndarray) -> np.ndarray:
+    """Index of each entry of 1-D ``a`` among its distinct values, ascending
+    (``np.unique``'s inverse, without loading ``numpy.ma``)."""
+    values = np.sort(a)
+    values = values[np.r_[True, values[1:] != values[:-1]]]
+    return np.searchsorted(values, a)
+
+
+def _as_integers(labels, what: str) -> np.ndarray:
+    a = np.asarray(labels)
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{what} must be numeric, got dtype {a.dtype}")
+    if non_integers(a).size:
+        raise InvalidInputError(f"{what} must be finite integers")
+    return a
+
+
+def as_labeling(labels) -> np.ndarray:
+    """A clustering's labels: a nonempty sequence of finite integers, any
+    values; returns the dense 0-based index of each (``dense_ids``)."""
+    a = _as_integers(labels, "labelings").ravel()
+    if a.size == 0:
+        raise InvalidInputError("labelings must be nonempty")
+    return dense_ids(a)
+
+
 def as_class_ids(labels, n: int) -> tuple[np.ndarray, int]:
     """Validate class labels for ``n`` rows; return ``(ids, n_classes)``.
 
@@ -91,10 +136,7 @@ def as_class_ids(labels, n: int) -> tuple[np.ndarray, int]:
         raise InvalidInputError(
             f"labels must be one id per row: got shape {a.shape} for {n} rows"
         )
-    if a.dtype.kind not in "biuf":
-        raise InvalidInputError(f"labels must be numeric, got dtype {a.dtype}")
-    if a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.floor(a))):
-        raise InvalidInputError("labels must be finite integers")
+    _as_integers(a, "labels")
     if n and (a.min() < 0 or a.max() >= n):
         raise InvalidInputError(f"class ids must be dense from 0, within [0, {n})")
     ids = a.astype(np.int64, copy=False)

@@ -186,6 +186,20 @@ class TestEvaluateEmbedding:
         with pytest.raises(InvalidInputError):
             evaluate_embedding(x, x, metrics=("volume",), rng=make_rng(0))
 
+    def test_unknown_metric_rejected_before_any_draw(self):
+        x = make_rng(7).standard_normal((20, 2))
+        rng = make_rng(0)
+        with pytest.raises(InvalidInputError, match="unknown metric 'volume'"):
+            evaluate_embedding(
+                x, x, metrics=("distance", "volume"), pair_budget=5, rng=rng
+            )
+        assert rng.integers(2**62) == make_rng(0).integers(2**62)
+
+    def test_budget_none_rejected(self):
+        x = make_rng(7).standard_normal((20, 2))
+        with pytest.raises(InvalidInputError, match="^pair_budget must be an integer"):
+            evaluate_embedding(x, x, pair_budget=None, rng=make_rng(0))
+
 
 class TestPreservationSuite:
     def test_deterministic_medians_and_fields(self):

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import neurodavis
+import neurodavis.cli
+from neurodavis.analysis import METRICS
 from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
-from neurodavis.datasets import load_csv
+from neurodavis.datasets import SYNTHETIC_KINDS, load_csv
 from neurodavis.metrics import DEFAULT_PAIR_BUDGET
 from neurodavis.model import ModelConfig
+from neurodavis.numerics import make_rng
 
 
 def run(argv):
@@ -151,6 +154,11 @@ class TestFit:
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["fit", "--in", str(tmp_path / "nope.csv")]) == 2
 
+    def test_hidden_none_fits_a_linear_decoder(self, tmp_path, spiral_csv):
+        assert self._fit(tmp_path, spiral_csv, extra=["--hidden", "none"]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["config"]["hidden_widths"] == []
+
     def test_non_integer_hidden_exits_2(self, tmp_path, spiral_csv, capsys):
         assert self._fit(tmp_path, spiral_csv, extra=["--hidden", "a,b"]) == 2
         assert "error: argument --hidden" in capsys.readouterr().err
@@ -246,6 +254,35 @@ class TestEval:
         assert 0.0 <= comparison["mw_p"] <= 1.0
         assert comparison["mw_u"] == 25.0  # identity beats noisy in all 5x5 pairs
         assert len(doc["runs"]) == 5
+
+    def test_without_out_prints_the_report(self, tmp_path, spiral_csv, capsys):
+        low = self._strip_labels(tmp_path, spiral_csv)
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(low), "--label-col", "label"]
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "neurodavis-eval-report/1"
+        assert doc["medians"]["distance_spearman"] == pytest.approx(1.0)
+
+    def test_unknown_metric_exits_2_before_drawing(
+        self, tmp_path, spiral_csv, capsys, monkeypatch
+    ):
+        made = []
+
+        def recording_make_rng(seed):
+            made.append((seed, make_rng(seed)))
+            return made[-1][1]
+
+        monkeypatch.setattr(neurodavis.cli, "make_rng", recording_make_rng)
+        low = self._strip_labels(tmp_path, spiral_csv)
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(low),
+                "--metrics", "distance,bogus", "--pair-budget", "3"]
+        assert run(argv) == 2
+        assert "error: unknown metric 'bogus'" in capsys.readouterr().err
+        # a budget of 3 pairs samples, so distance would have advanced the rng
+        assert made
+        for seed, rng in made:
+            fresh = make_rng(seed).bit_generator.state
+            assert repr(rng.bit_generator.state) == repr(fresh)
 
     def test_row_mismatch_exits_2(self, tmp_path, spiral_csv):
         short = tmp_path / "short.csv"
@@ -433,6 +470,14 @@ class TestUsage:
             defaults["height"].default,
             defaults["point_radius"].default,
         )
+
+    def test_gen_kinds_are_the_library_kinds(self, capsys):
+        assert run(["gen", "--help"]) == 0
+        assert "--kind {" + ",".join(SYNTHETIC_KINDS) + "}" in capsys.readouterr().out
+
+    def test_eval_metrics_help_lists_the_library_metrics(self, capsys):
+        assert run(["eval", "--help"]) == 0
+        assert f"comma list from: {','.join(METRICS)}" in capsys.readouterr().out
 
     def test_eval_pair_budget_default_is_the_library_default(self):
         args = build_parser().parse_args(["eval", "--high", "a.csv", "--low", "b.csv"])

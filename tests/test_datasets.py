@@ -242,6 +242,13 @@ class TestCsv:
             load_csv(p)
         assert (err.value.row, err.value.col) == (3, 2)
 
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(CsvParseError, match="empty file") as err:
+            load_csv(p)
+        assert (err.value.row, err.value.col) == (1, 1)
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b\n1,2\n")
@@ -289,6 +296,11 @@ class TestDatasetValidation:
     def test_label_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             Dataset(np.ones((3, 2)), labels=[0, 1])
+
+    @pytest.mark.parametrize("names", [["x"], ["x", "y", "z"]])
+    def test_feature_names_one_per_column(self, names):
+        with pytest.raises(InvalidInputError, match="feature_names length"):
+            Dataset(np.ones((3, 2)), feature_names=names)
 
     def test_labels_must_be_dense(self):
         with pytest.raises(InvalidInputError):

@@ -35,11 +35,11 @@ from oracles import (
 # ---------------------------------------------------------------- oracles
 
 
-def oracle_knn_scores(x, labels, k, split, rng):
+def oracle_knn_scores(x, labels, k, rng):
     """Brute-force k-NN on the split ``knn_evaluate`` draws: neighbours sorted
     in Python by (squared distance, row index), exact on integer data; a vote
     tie goes to the tied class that appears first in that order."""
-    train, test = _stratified_split(labels, split, rng)
+    train, test = _stratified_split(labels, rng)
     preds = []
     for t in test:
         order = sorted(
@@ -142,6 +142,22 @@ class TestRanksAndCorrelation:
         with pytest.raises(DegenerateInputError):
             pearson_r([2.0, 2.0], [1.0, 3.0])
 
+    @pytest.mark.parametrize("fn", [pearson_r, spearman_rho])
+    @pytest.mark.parametrize(
+        "a,b",
+        [([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0], [2.0]), ([], [])],
+        ids=["unequal", "one", "empty"],
+    )
+    def test_unequal_or_short_inputs_rejected(self, fn, a, b):
+        with pytest.raises(InvalidInputError, match="equal length >= 2"):
+            fn(a, b)
+
+    @pytest.mark.parametrize("fn", [pearson_r, spearman_rho, mann_whitney_u])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, fn, bad):
+        with pytest.raises(InvalidInputError, match="^b contains non-finite values"):
+            fn([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
 
 class TestMannWhitney:
     def test_identical_samples_p_one(self):
@@ -223,6 +239,13 @@ class TestDistancePreservation:
     def test_row_count_mismatch(self):
         with pytest.raises(InvalidInputError):
             distance_preservation(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    def test_budget_none_rejected(self):
+        # a budget is an integer; all pairs is any budget >= n(n-1)/2
+        x = make_rng(1).standard_normal((9, 2))
+        with pytest.raises(InvalidInputError, match="^pair_budget must be an integer >= 1"):
+            distance_preservation(x, x, pair_budget=None)
+        assert distance_preservation(x, x, pair_budget=36) == pytest.approx(1.0)
 
 
 class TestCentroidPreservation:
@@ -319,7 +342,7 @@ class TestKnn:
         b = rng.standard_normal((40, 2)) * 0.3 + 10.0
         x = np.vstack([a, b])
         labels = np.repeat([0, 1], 40)
-        acc, f1 = knn_evaluate(x, labels, k=5, split=0.8, rng=make_rng(8))
+        acc, f1 = knn_evaluate(x, labels, k=5, rng=make_rng(8))
         assert acc == 1.0 and f1 == 1.0
 
     def test_k_equals_train_size_near_chance(self):
@@ -327,7 +350,7 @@ class TestKnn:
         x = rng.standard_normal((100, 2))
         labels = np.repeat([0, 1], 50)
         train_size = 80
-        acc, _ = knn_evaluate(x, labels, k=train_size, split=0.8, rng=make_rng(10))
+        acc, _ = knn_evaluate(x, labels, k=train_size, rng=make_rng(10))
         assert 0.2 <= acc <= 0.8  # ~majority baseline 0.5 plus sampling noise
 
     def test_single_class_convention(self):
@@ -347,7 +370,7 @@ class TestKnn:
     def test_k_too_large(self):
         x = np.zeros((10, 2))
         with pytest.raises(InvalidInputError):
-            knn_evaluate(x, np.repeat([0, 1], 5), k=9, split=0.8, rng=make_rng(0))
+            knn_evaluate(x, np.repeat([0, 1], 5), k=9, rng=make_rng(0))
 
     def test_matches_brute_force_on_integer_grid(self):
         # a 4x4 grid of coordinates: equal distances and split votes everywhere,
@@ -360,7 +383,7 @@ class TestKnn:
             labels[:6] = [0, 1, 2, 0, 1, 2]
             k = int(rng.integers(1, 7))
             assert knn_evaluate(x, labels, k=k, rng=make_rng(seed)) == oracle_knn_scores(
-                x, labels, k, 0.8, make_rng(seed)
+                x, labels, k, make_rng(seed)
             ), f"seed={seed} k={k}"
 
 
@@ -537,6 +560,13 @@ class TestPairCountingIndices:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             ari([0, 1], [0, 1, 2])
+
+    def test_ari_one_below_two_points(self):
+        assert ari([3], [7]) == 1.0
+
+    def test_ari_one_when_both_partitions_degenerate(self):
+        assert ari([0] * 5, [4] * 5) == 1.0  # both one cluster
+        assert ari(range(5), [4, 3, 2, 1, 0]) == 1.0  # both all singletons
 
     def test_integer_valued_floats_and_sparse_ids_accepted(self):
         lt = [0, 0, 0, 1, 1, 1, 2, 2]

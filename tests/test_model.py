@@ -148,6 +148,11 @@ class TestConfig:
                 ModelConfig(convergence=Convergence(window=5, rel_tol=value))
         ModelConfig(convergence=Convergence(rel_tol=0.0))  # zero is valid
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    def test_negative_penalty_rejected(self, field):
+        with pytest.raises(InvalidInputError, match="alpha and beta must be >= 0"):
+            ModelConfig(**{field: -1e-6})
+
     @pytest.mark.parametrize(
         "make, name",
         [
@@ -190,6 +195,11 @@ class TestConfig:
 
 
 class TestInitModel:
+    @pytest.mark.parametrize("n, d, name", [(0, 2, "n"), (3, 0, "d"), (2.5, 2, "n")])
+    def test_rows_and_columns_are_counts(self, n, d, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer >= 1"):
+            init_model(ModelConfig(), n, d)
+
     def test_shape_chain(self):
         cfg = ModelConfig(latent_dim=2, hidden_widths=(4, 4))
         model = init_model(cfg, n=10, d=3)
@@ -276,6 +286,12 @@ class TestForward:
         with pytest.raises(InvalidInputError):
             forward(model, [-1])
 
+    @pytest.mark.parametrize("idx", [[], [[0, 1]]], ids=["empty", "2-d"])
+    def test_indices_must_be_nonempty_1d(self, idx):
+        model = init_model(ModelConfig(), 4, 2)
+        with pytest.raises(InvalidInputError, match="nonempty 1-D"):
+            forward(model, idx)
+
 
 class TestLoss:
     def test_perfect_reconstruction_zero(self):
@@ -345,6 +361,12 @@ class TestLoss:
 
 
 class TestGradients:
+    def test_batch_shape_mismatch(self):
+        cfg = ModelConfig()
+        model = init_model(cfg, 4, 2)
+        with pytest.raises(InvalidInputError, match="x_batch shape does not match"):
+            gradients(model, [0, 1], np.zeros((3, 2)), cfg)
+
     def test_zero_at_perfect_fit(self):
         cfg = ModelConfig(latent_dim=2, hidden_widths=(), alpha=0.0, beta=0.0)
         model = init_model(cfg, 3, 2)

@@ -7,6 +7,9 @@ import pytest
 from neurodavis import numerics
 from neurodavis.errors import InvalidInputError
 from neurodavis.numerics import (
+    as_labeling,
+    as_matrix,
+    dense_ids,
     make_rng,
     pair_distances,
     pairwise_euclidean,
@@ -138,6 +141,11 @@ class TestPairwiseEuclidean:
         with pytest.raises(InvalidInputError):
             pairwise_euclidean([[1.0, 2.0]])
 
+    def test_budget_below_total_needs_rng(self):
+        x = make_rng(2).standard_normal((10, 2))
+        with pytest.raises(InvalidInputError, match="requires an rng"):
+            pairwise_euclidean(x, pair_budget=3)
+
     def test_bad_budget(self):
         # a budget above the total (3 pairs) means all pairs and needs no rng
         x = make_rng(6).standard_normal((3, 2))
@@ -241,7 +249,29 @@ class TestSqDistances:
         np.testing.assert_allclose(np.sqrt(sq_distances(x, x)[ii, jj]), d, rtol=1e-15)
 
 
+class TestInputKinds:
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_matrix_must_be_2d(self, shape):
+        with pytest.raises(InvalidInputError, match="must be 2-D"):
+            as_matrix(np.zeros(shape))
+
+    def test_dense_ids_is_the_unique_inverse(self):
+        rng = make_rng(3)
+        for a in (rng.integers(-5, 5, 200), rng.integers(0, 3, 50) * 0.5 - 1.0):
+            np.testing.assert_array_equal(
+                dense_ids(a), np.unique(a, return_inverse=True)[1]
+            )
+
+    def test_labeling_keeps_any_integer_values(self):
+        ids = as_labeling(np.array([[40.0, -7.0], [9.0, -7.0]]))
+        assert ids.tolist() == [2, 0, 1, 0]
+
+
 class TestSpectralNorm:
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            spectral_norm(np.zeros((0, 3)))
+
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 
