@@ -301,12 +301,15 @@ def evaluate_embedding(
     ``cluster`` (k-means and agglomerative labelings with one cluster per
     label, scored by ARI/FMI against the true labels). The distance pair
     sample, the k-NN split and the k-means seeding draw from ``rng`` in
-    the order of ``metrics``. An unknown selection raises before any metric
-    runs or draws from ``rng``.
+    the order of ``metrics``. An unknown selection, an empty ``metrics`` or
+    one naming a selection twice raises before any metric runs or draws from
+    ``rng``.
     """
     unknown = [m for m in metrics if m not in METRICS]
     if unknown:
         raise InvalidInputError(f"unknown metric {unknown[0]!r}")
+    if not metrics or len(set(metrics)) < len(metrics):
+        raise InvalidInputError(f"metrics must name each selection once, got {list(metrics)}")
     x_high, x_low = as_paired(x_high, x_low)
     labelled = [m for m in metrics if m in METRICS[1:]]
     if labelled:

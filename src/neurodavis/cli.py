@@ -13,6 +13,7 @@ Python starts: BLAS reads them once, when numpy loads it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -85,31 +86,28 @@ def _positive(kind):
 
 
 def _model_config(args) -> ModelConfig:
-    convergence = None
-    if not args.no_early_stop:
-        convergence = Convergence(window=args.window, rel_tol=args.rel_tol)
-    return ModelConfig(
-        latent_dim=args.k,
-        hidden_widths=args.hidden,
-        alpha=args.alpha,
-        beta=args.beta,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        convergence=convergence,
-    )
+    """``ModelConfig`` from the fit flags, each stored under its field's name.
+    The early-stop rule is the one field without a flag of its own: it is
+    built the same way from its flags, unless ``--no-early-stop``."""
+    flags = vars(args)
+
+    def flagged(cls) -> dict:
+        return {f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name in flags}
+
+    early_stop = None if args.no_early_stop else Convergence(**flagged(Convergence))
+    return ModelConfig(**flagged(ModelConfig), convergence=early_stop)
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
-    """The training flags, each defaulting to its ``ModelConfig`` or
-    ``Convergence`` field."""
+    """The training flags, each stored under the name of its ``ModelConfig``
+    or ``Convergence`` field and defaulting to that field."""
     p.add_argument("--seed", type=int, default=ModelConfig.seed)
-    p.add_argument(
-        "--k", type=int, default=ModelConfig.latent_dim, help="embedding dimension"
-    )
+    p.add_argument("--k", dest="latent_dim", metavar="K", type=int,
+                   default=ModelConfig.latent_dim, help="embedding dimension")
     p.add_argument(
         "--hidden",
+        dest="hidden_widths",
+        metavar="HIDDEN",
         type=_parse_hidden,
         default=ModelConfig.hidden_widths,
         help="comma-separated hidden widths, 'none' for a linear decoder "
@@ -119,9 +117,8 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
         "--alpha", type=float, default=ModelConfig.alpha, help="activity penalty"
     )
     p.add_argument("--beta", type=float, default=ModelConfig.beta, help="weight penalty")
-    p.add_argument(
-        "--lr", type=float, default=ModelConfig.learning_rate, help="Adam learning rate"
-    )
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
+                   default=ModelConfig.learning_rate, help="Adam learning rate")
     p.add_argument("--epochs", type=int, default=ModelConfig.epochs)
     p.add_argument("--batch-size", type=int, default=ModelConfig.batch_size)
     p.add_argument(
@@ -231,24 +228,17 @@ def cmd_fit(args) -> int:
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             return _fail(f"cannot write {path}: {folder} is not a writable directory")
 
-    def write_report(report, diverged: bool) -> None:
-        doc = {
-            "schema": "neurodavis-train-report/2",
-            "config": config.to_dict(),
-            "config_hash": config.config_hash(),
-            "diverged": diverged,
-        }
-        doc.update(report.to_dict())
+    def write_report(report) -> None:
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
 
     try:
         model, report = fit(ds.x, config)
     except TrainingDivergedError as exc:
-        write_report(exc.report, diverged=True)
+        write_report(exc.report)
         print(f"error: {exc}; report written to {report_path}", file=sys.stderr)
         return NUMERIC_ERROR
-    write_report(report, diverged=False)
+    write_report(report)
     save_checkpoint(model, config, model_path)
     emb = embed(model)
     save_csv(
@@ -256,8 +246,8 @@ def cmd_fit(args) -> int:
         emb_path,
     )
     print(
-        f"trained {report.epochs_run} epochs "
-        f"(converged={report.converged}, final loss={report.total[-1]:.6g}); "
+        f"trained {len(report.losses)} epochs "
+        f"(converged={report.converged}, final loss={report.losses[-1].total:.6g}); "
         f"wrote {model_path}, {emb_path}, {report_path}"
     )
     return 0

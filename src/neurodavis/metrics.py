@@ -269,7 +269,8 @@ def _lloyd(
 def kmeans(x, k: int, rng: Rng) -> np.ndarray:
     """K-means labels: ++-style seeding, Lloyd iterations to an assignment
     fixpoint (or 300 iterations), best inertia over 10 restarts (first
-    restart wins ties)."""
+    restart wins ties). When ``x`` has fewer than k distinct rows, some
+    centres coincide and fewer than k clusters come back."""
     x = as_matrix(x, "x")
     k = as_count(k, "k", 1, x.shape[0])
     best_labels, best_inertia = None, math.inf

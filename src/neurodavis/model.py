@@ -223,23 +223,31 @@ class LossTerms(NamedTuple):
 
 @dataclass
 class TrainReport:
-    total: list[float]
-    recon: list[float]
-    activity: list[float]
-    weights: list[float]
-    epochs_run: int = 0
+    """The record of one :func:`fit` run: its config and one
+    :class:`LossTerms` per epoch, the full-data loss after that epoch."""
+
+    config: ModelConfig
+    losses: list[LossTerms] = field(default_factory=list)
     converged: bool = False
+    diverged: bool = False
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
+        """The ``neurodavis-train-report/2`` document. A non-finite loss
+        value is written as None (JSON ``null``)."""
+        json_keys = {"total": "total", "recon_term": "reconstruction",
+                     "activity_term": "activity", "weight_term": "weights"}
+        columns = {key: [getattr(t, f) for t in self.losses] for f, key in json_keys.items()}
         return {
+            "schema": "neurodavis-train-report/2",
+            "config": self.config.to_dict(),
+            "config_hash": self.config.config_hash(),
+            "diverged": self.diverged,
             "loss": {
-                "total": self.total,
-                "reconstruction": self.recon,
-                "activity": self.activity,
-                "weights": self.weights,
+                key: [v if math.isfinite(v) else None for v in column]
+                for key, column in columns.items()
             },
-            "epochs_run": self.epochs_run,
+            "epochs_run": len(self.losses),
             "converged": self.converged,
             "wall_time_s": self.wall_time_s,
         }
@@ -495,7 +503,7 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
     ws = _Workspace(model)
     batch = config.resolved_batch_size(n)
     shuffle_rng = spawn_rng(config.seed, 1)  # distinct stream from init
-    report = TrainReport(total=[], recon=[], activity=[], weights=[])
+    report = TrainReport(config)
     all_idx = np.arange(n)
     started = time.perf_counter()
     for epoch in range(config.epochs):
@@ -505,21 +513,18 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
             grads = gradients(model, idx, x[idx], config, ws)
             adam_step(model, grads, config, ws)
         terms = loss(forward(model, all_idx), x, model, config)
-        report.total.append(terms.total)
-        report.recon.append(terms.recon_term)
-        report.activity.append(terms.activity_term)
-        report.weights.append(terms.weight_term)
-        report.epochs_run = epoch + 1
+        report.losses.append(terms)
         if not math.isfinite(terms.total):
+            report.diverged = True
             report.wall_time_s = time.perf_counter() - started
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch + 1}", report=report
             )
         conv = config.convergence
         if conv is not None and epoch + 1 > conv.window:
-            ref = report.total[-(conv.window + 1)]
+            ref = report.losses[-(conv.window + 1)].total
             scale = max(abs(ref), np.finfo(np.float64).tiny)
-            if (ref - report.total[-1]) / scale < conv.rel_tol:
+            if (ref - terms.total) / scale < conv.rel_tol:
                 report.converged = True
                 break
     report.wall_time_s = time.perf_counter() - started

@@ -195,6 +195,16 @@ class TestEvaluateEmbedding:
             )
         assert rng.integers(2**62) == make_rng(0).integers(2**62)
 
+    @pytest.mark.parametrize(
+        "metrics", [(), ("distance", "distance")], ids=["empty", "repeated"]
+    )
+    def test_empty_or_repeated_selection_rejected_before_any_draw(self, metrics):
+        x = make_rng(7).standard_normal((20, 2))
+        rng = make_rng(0)
+        with pytest.raises(InvalidInputError, match="each selection once"):
+            evaluate_embedding(x, x, metrics=metrics, pair_budget=5, rng=rng)
+        assert rng.integers(2**62) == make_rng(0).integers(2**62)
+
     def test_budget_none_rejected(self):
         x = make_rng(7).standard_normal((20, 2))
         with pytest.raises(InvalidInputError, match="^pair_budget must be an integer"):

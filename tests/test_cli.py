@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -14,7 +15,7 @@ from neurodavis.analysis import METRICS
 from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
 from neurodavis.datasets import SYNTHETIC_KINDS, load_csv
 from neurodavis.metrics import DEFAULT_PAIR_BUDGET
-from neurodavis.model import ModelConfig
+from neurodavis.model import Convergence, ModelConfig
 from neurodavis.numerics import make_rng
 
 
@@ -87,9 +88,12 @@ class TestFit:
         self._fit(
             tmp_path,
             spiral_csv,
-            extra=["--hidden", "8,8", "--alpha", "1e-6", "--beta", "1e-4"],
+            extra=["--hidden", "8,8", "--alpha", "1e-6", "--beta", "1e-4",
+                   "--k", "3", "--lr", "0.01"],
         )
         report = json.loads((tmp_path / "r.json").read_text())
+        assert report["config"]["latent_dim"] == 3
+        assert report["config"]["learning_rate"] == 0.01
         assert report["config"]["hidden_widths"] == [8, 8]
         assert report["config"]["alpha"] == 1e-6
         assert report["config"]["beta"] == 1e-4
@@ -148,8 +152,13 @@ class TestFit:
         with np.errstate(over="ignore", invalid="ignore"):
             code = self._fit(tmp_path, spiral_csv, extra=["--lr", "1e300"])
         assert code == 3
-        report = json.loads((tmp_path / "r.json").read_text())
+
+        def reject(token):  # RFC 8259 has no NaN or Infinity
+            raise ValueError(f"{token} in the report")
+
+        report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
         assert report["diverged"] is True
+        assert report["loss"]["total"][-1] is None
 
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["fit", "--in", str(tmp_path / "nope.csv")]) == 2
@@ -283,6 +292,14 @@ class TestEval:
         for seed, rng in made:
             fresh = make_rng(seed).bit_generator.state
             assert repr(rng.bit_generator.state) == repr(fresh)
+
+    def test_empty_metric_list_exits_2(self, tmp_path, spiral_csv, capsys):
+        out = tmp_path / "e.json"
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(spiral_csv),
+                "--metrics", ",", "--out", str(out)]
+        assert run(argv) == 2
+        assert "error: metrics must name each selection once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_mismatch_exits_2(self, tmp_path, spiral_csv):
         short = tmp_path / "short.csv"
@@ -461,6 +478,12 @@ class TestUsage:
     def test_fit_defaults_are_the_library_defaults(self):
         args = build_parser().parse_args(["fit", "--in", "x.csv"])
         assert _model_config(args) == ModelConfig()
+
+    def test_every_config_field_has_a_fit_flag(self):
+        # convergence is built from its own fields' flags
+        args = vars(build_parser().parse_args(["fit", "--in", "x.csv"]))
+        fields = {f.name for cls in (ModelConfig, Convergence) for f in dataclasses.fields(cls)}
+        assert sorted(fields - {"convergence"} - set(args)) == []
 
     def test_plot_defaults_are_the_renderer_defaults(self):
         args = build_parser().parse_args(["plot", "--embedding", "e.csv", "--out", "o.svg"])

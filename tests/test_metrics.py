@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from neurodavis.errors import DegenerateInputError, InvalidInputError
 from neurodavis.metrics import (
+    _kmeanspp_init,
     _lloyd,
     _stratified_split,
     agglomerative,
@@ -451,6 +452,14 @@ class TestKmeans:
         with pytest.raises(InvalidInputError):
             kmeans(np.zeros((3, 2)), 4, make_rng(0))
 
+    def test_fewer_distinct_rows_than_k_gives_fewer_clusters(self):
+        # after two picks every point is a centre, so the third pick falls
+        # back to a uniform draw and coincides with one of them
+        x = np.repeat([[0.0, 0.0], [1.0, 1.0]], 5, axis=0)
+        assert len(np.unique(_kmeanspp_init(x, 3, make_rng(0)), axis=0)) == 2
+        assert len(np.unique(kmeans(x, 3, make_rng(0)))) == 2
+        assert len(np.unique(agglomerative(x, 3))) == 3
+
 
 class TestAgglomerative:
     def test_singletons_and_single_cluster(self):
@@ -560,6 +569,10 @@ class TestPairCountingIndices:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             ari([0, 1], [0, 1, 2])
+
+    def test_fmi_zero_without_same_cluster_pairs(self):
+        assert fmi([0, 1, 2, 3], [0, 0, 1, 1]) == 0.0
+        assert fmi([0, 0, 1, 1], [3, 2, 1, 0]) == 0.0
 
     def test_ari_one_below_two_points(self):
         assert ari([3], [7]) == 1.0

@@ -630,7 +630,7 @@ class TestFit:
         )
         x = np.array([[1.5, -2.0]])
         model, report = fit(x, cfg)
-        assert report.recon[-1] < 1e-4
+        assert report.losses[-1].recon_term < 1e-4
         np.testing.assert_allclose(forward(model, [0]).recon, x, atol=1e-2)
 
     def test_loss_decreases_on_synthetic_data(self):
@@ -638,8 +638,8 @@ class TestFit:
 
         ds = gen_synthetic("elliptic_ring", make_rng(0))
         model, report = fit(ds.x, ModelConfig(seed=1, epochs=30, convergence=None))
-        assert report.total[-1] < report.total[0]
-        assert report.epochs_run == 30
+        assert report.losses[-1].total < report.losses[0].total
+        assert len(report.losses) == 30
 
     def test_deterministic(self):
         x = make_rng(5).standard_normal((40, 3))
@@ -651,16 +651,16 @@ class TestFit:
     def test_report_decomposition(self):
         x = make_rng(5).standard_normal((20, 3))
         _, report = fit(x, ModelConfig(seed=2, epochs=10, convergence=None))
-        for e in range(report.epochs_run):
-            total = report.recon[e] + report.activity[e] + report.weights[e]
-            assert report.total[e] == pytest.approx(total, abs=1e-9)
+        assert len(report.losses) == 10
+        for t in report.losses:
+            assert t.total == t.recon_term + t.activity_term + t.weight_term
 
     def test_early_stop(self):
         x = make_rng(5).standard_normal((30, 2))
         cfg = ModelConfig(seed=2, epochs=1000, convergence=Convergence(5, 0.5))
         _, report = fit(x, cfg)
         assert report.converged
-        assert report.epochs_run < 1000
+        assert len(report.losses) < 1000
 
     def test_divergence_raises_with_report(self):
         x = make_rng(5).standard_normal((10, 2)) * 10
@@ -668,8 +668,9 @@ class TestFit:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as err:
                 fit(x, cfg)
-        assert err.value.report is not None
-        assert err.value.report.epochs_run >= 1
+        report = err.value.report
+        assert report.diverged and not report.converged
+        assert len(report.losses) >= 1 and not np.isfinite(report.losses[-1].total)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
@@ -680,7 +681,7 @@ class TestFit:
         cfg = ModelConfig(seed=1, alpha=0.0, beta=0.0, epochs=40, convergence=None)
         model, report = fit(x, cfg)
         resid = np.linalg.norm(x - forward(model, np.arange(25)).recon)
-        assert resid == pytest.approx(np.sqrt(25 * report.recon[-1]), abs=1e-9)
+        assert resid == pytest.approx(np.sqrt(25 * report.losses[-1].recon_term), abs=1e-9)
 
 
 class TestEmbedReconstruct:
