@@ -1,13 +1,13 @@
 """Command-line interface: dataset generation, training, evaluation, SVG
 scatter plots, and the numerical self-checks.
 
-Exit codes: 0 success, 2 usage/input error (including flag values out of
-range and unwritable output paths), 3 numeric failure (diverged training
-or a failed check). Every subcommand's output is bit-identical
-given its flags, the BLAS thread count and the numpy build; all randomness
-derives from ``--seed``. To pin the BLAS thread count, set
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` before
-Python starts: BLAS reads them once, when numpy loads it.
+Exit codes: 0 success, 1 output pipe closed by the reader, 2 usage/input
+error (including flag values out of range and unwritable output paths), 3
+numeric failure (diverged training or a failed check). Every subcommand's
+output is bit-identical given its flags, the BLAS thread count and the numpy
+build; all randomness derives from ``--seed``. To pin the BLAS thread count,
+set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS``
+before Python starts: BLAS reads them once, when numpy loads it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .datasets import (
     load_csv,
     save_csv,
 )
-from .errors import NeurodavisError, TrainingDivergedError
+from .errors import InvalidInputError, NeurodavisError, TrainingDivergedError
 from .metrics import DEFAULT_PAIR_BUDGET, mann_whitney_u
 from .model import Convergence, ModelConfig, embed, fit, save_checkpoint
-from .numerics import make_rng
+from .numerics import as_class_ids, as_count, as_matrix, make_rng
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -70,19 +70,6 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers or 'none', got {text!r}"
         ) from None
-
-
-def _positive(kind):
-    """Argument type: ``kind`` (int or float) that must be > 0."""
-
-    def parse(text: str):
-        value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
-        return value
-
-    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
-    return parse
 
 
 def _model_config(args) -> ModelConfig:
@@ -167,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", default="distance", help=f"comma list from: {','.join(METRICS)}"
     )
     p_eval.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p_eval.add_argument(
-        "--runs", type=_positive(int), default=1, help="pair-sample repeats"
-    )
+    p_eval.add_argument("--runs", type=int, default=1, help="pair-sample repeats")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument(
         "--compare",
@@ -188,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--label-col", default="label", help="header name of the label column"
     )
     p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--width", type=_positive(int), default=PLOT_WIDTH)
-    p_plot.add_argument("--height", type=_positive(int), default=PLOT_HEIGHT)
-    p_plot.add_argument(
-        "--point-radius", type=_positive(float), default=PLOT_POINT_RADIUS
-    )
 
     p_check = sub.add_parser("check", help="run the numerical self-checks")
     p_check.add_argument(
@@ -254,15 +234,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    n_runs = as_count(args.runs, "runs", 1)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     high = load_csv(args.high, label_column=args.label_col)
     low = load_csv(args.low)
     compare = None if args.compare is None else load_csv(args.compare)
-    if low.n != high.n or (compare is not None and compare.n != high.n):
-        return _fail(
-            f"row counts differ: high={high.n}, low={low.n}"
-            + ("" if compare is None else f", compare={compare.n}")
-        )
     doc: dict = {
         "schema": "neurodavis-eval-report/1",
         "high": args.high,
@@ -274,7 +250,7 @@ def cmd_eval(args) -> int:
     if compare is not None:
         scored["compare_metrics"] = compare
     runs = []
-    for r in range(args.runs):
+    for r in range(n_runs):
         entry = {"seed": args.seed + r}
         for key, emb in scored.items():
             # a fresh generator per embedding: identical pair samples
@@ -311,16 +287,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def render_scatter_svg(
-    points,
-    labels=None,
-    width: int = PLOT_WIDTH,
-    height: int = PLOT_HEIGHT,
-    point_radius: float = PLOT_POINT_RADIUS,
-) -> str:
-    """Deterministic SVG scatter: one circle per row, colors from a fixed
-    10-color palette by class id, axes auto-scaled with a 5% margin."""
-    pts = np.asarray(points, dtype=np.float64)
+def render_scatter_svg(points, labels=None) -> str:
+    """Deterministic SVG scatter of 2-D ``points``, ``PLOT_WIDTH`` by
+    ``PLOT_HEIGHT``: one circle per row, colors from a fixed 10-color palette
+    by class id (``labels``, one per row), axes auto-scaled with a 5% margin."""
+    pts = as_matrix(points, "points")
+    if pts.shape[1] != 2:
+        raise InvalidInputError(f"plot needs a 2-D embedding, got d={pts.shape[1]}")
+    if labels is not None:
+        labels, _ = as_class_ids(labels, len(pts))
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-300)
@@ -338,7 +314,7 @@ def render_scatter_svg(
         py = height - (offset[1] + (pts[row, 1] - lo[1]) * scale[1])  # y up
         color = PALETTE[0] if labels is None else PALETTE[int(labels[row]) % 10]
         lines.append(
-            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius:.3f}" '
+            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{PLOT_POINT_RADIUS:.3f}" '
             f'fill="{color}" fill-opacity="0.8"/>'
         )
     lines.append("</svg>")
@@ -352,17 +328,7 @@ def cmd_plot(args) -> int:
     labels = emb.labels
     if args.labels is not None and not same_file:
         labels = load_csv(args.labels, label_column=args.label_col).labels
-        if len(labels) != emb.n:
-            return _fail("label file must carry one label per embedding row")
-    if emb.d != 2:
-        return _fail(f"plot needs a 2-D embedding, got d={emb.d}")
-    svg = render_scatter_svg(
-        emb.x,
-        labels,
-        width=args.width,
-        height=args.height,
-        point_radius=args.point_radius,
-    )
+    svg = render_scatter_svg(emb.x, labels)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     print(f"wrote {emb.n} points to {args.out}")
@@ -410,6 +376,11 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # point stdout at devnull so the flush at exit cannot fail again
+        # (the SIGPIPE note in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NeurodavisError, OSError) as exc:  # bad input, unwritable output
         return _fail(str(exc))
 

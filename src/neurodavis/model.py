@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
-from .numerics import Rng, as_count, as_matrix, make_rng, spawn_rng
+from .numerics import Rng, as_count, as_indices, as_matrix, make_rng, spawn_rng
 
 __all__ = [
     "Convergence",
@@ -271,18 +271,6 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     return model
 
 
-def _check_indices(model: Model, batch_indices) -> np.ndarray:
-    idx = np.asarray(batch_indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise InvalidInputError("batch_indices must be a nonempty 1-D sequence")
-    if idx.min() < 0 or idx.max() >= model.n:
-        raise InvalidInputError(
-            f"batch indices must lie in [0, {model.n}), got "
-            f"[{idx.min()}, {idx.max()}]"
-        )
-    return idx
-
-
 def _forward(model: Model, idx: np.ndarray):
     """(latent, hidden activations, recon) for already-validated indices."""
     latent = model.latent_table.take(idx, axis=0)
@@ -301,7 +289,7 @@ def _forward(model: Model, idx: np.ndarray):
 def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
     """Forward pass for the given sample indices: table lookup at the latent
     layer, affine + ReLU through hidden layers, affine (linear) output."""
-    idx = _check_indices(model, batch_indices)
+    idx = as_indices(batch_indices, model.n, "batch_indices")
     return ForwardTrace(idx, *_forward(model, idx))
 
 
@@ -396,7 +384,7 @@ def gradients(
     validated and the vector is freshly allocated."""
     fresh = _ws is None
     if fresh:
-        idx = _check_indices(model, batch_indices)
+        idx = as_indices(batch_indices, model.n, "batch_indices")
         x_batch = as_matrix(x_batch, "x_batch")
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
@@ -489,6 +477,8 @@ def adam_step(
     return model
 
 
+# a diverging run overflows; TrainingDivergedError alone reports it
+@np.errstate(over="ignore", invalid="ignore")
 def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
     """Train on ``x``: seeded-shuffle mini-batch epochs of Adam updates, full
     data loss recorded per epoch, optional early stop on stalled improvement.

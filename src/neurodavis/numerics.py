@@ -9,9 +9,10 @@ validate that inputs are finite and reject degenerate shapes, so the rest of
 the package can assume well-formed matrices. Each kind of input has one
 check here: ``as_matrix`` for a matrix, ``as_paired`` for two row-aligned
 spaces, ``as_vector`` for a vector of values, ``as_class_ids`` for class
-labels, ``as_labeling`` for a clustering's labels and ``as_count`` for a
-count. ``non_integers`` is the one finite-integer test and ``dense_ids`` the
-one ascending-value remap behind the two label checks and ``load_csv``.
+labels, ``as_labeling`` for a clustering's labels, ``as_count`` for a
+count and ``as_indices`` for row indices. ``non_integers`` is the one
+finite-integer test and ``dense_ids`` the one ascending-value remap behind
+the two label checks and ``load_csv``.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
@@ -58,6 +59,21 @@ def as_count(value, name: str, low: int, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
     return count
+
+
+def as_indices(idx, n: int, name: str) -> np.ndarray:
+    """Row indices into ``n`` rows: a nonempty 1-D array of an integer
+    dtype (float and bool refused), every entry in [0, ``n``)."""
+    a = np.asarray(idx)
+    if a.ndim != 1 or a.size == 0 or a.dtype.kind not in "iu":
+        raise InvalidInputError(
+            f"{name} must be a nonempty 1-D integer array, "
+            f"got dtype {a.dtype} and shape {a.shape}"
+        )
+    low, high = a.min(), a.max()
+    if low < 0 or high >= n:
+        raise InvalidInputError(f"{name} must lie in [0, {n}), got [{low}, {high}]")
+    return a
 
 
 def as_matrix(x, name: str = "x") -> np.ndarray:
@@ -157,15 +173,12 @@ def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
-    ``ii`` and ``jj`` are equal-length 1-D integer arrays of rows in [0, n)."""
+    ``ii`` and ``jj`` are equal-length row indices (``as_indices``)."""
     x = as_matrix(x, "x")
-    ii, jj = np.asarray(ii), np.asarray(jj)
-    kinds = {ii.dtype.kind, jj.dtype.kind}
-    if ii.ndim != 1 or ii.shape != jj.shape or not kinds <= {"i", "u"}:
-        raise InvalidInputError("ii and jj must be 1-D integer arrays of equal length")
     n = x.shape[0]
-    if ii.size and (min(ii.min(), jj.min()) < 0 or max(ii.max(), jj.max()) >= n):
-        raise InvalidInputError(f"row indices must be in [0, {n})")
+    ii, jj = as_indices(ii, n, "ii"), as_indices(jj, n, "jj")
+    if ii.shape != jj.shape:
+        raise InvalidInputError(f"ii and jj differ in length: {ii.size} vs {jj.size}")
     out = np.empty(len(ii), dtype=np.float64)
     for s in range(0, len(ii), _PAIR_CHUNK):
         e = min(s + _PAIR_CHUNK, len(ii))

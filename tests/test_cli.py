@@ -1,5 +1,5 @@
 import dataclasses
-import inspect
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +14,7 @@ import neurodavis.cli
 from neurodavis.analysis import METRICS
 from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
 from neurodavis.datasets import SYNTHETIC_KINDS, load_csv
+from neurodavis.errors import InvalidInputError
 from neurodavis.metrics import DEFAULT_PAIR_BUDGET
 from neurodavis.model import Convergence, ModelConfig
 from neurodavis.numerics import make_rng
@@ -149,8 +150,7 @@ class TestFit:
         assert a == b
 
     def test_divergence_exits_3_with_report(self, tmp_path, spiral_csv):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = self._fit(tmp_path, spiral_csv, extra=["--lr", "1e300"])
+        code = self._fit(tmp_path, spiral_csv, extra=["--lr", "1e300"])
         assert code == 3
 
         def reject(token):  # RFC 8259 has no NaN or Infinity
@@ -301,10 +301,21 @@ class TestEval:
         assert "error: metrics must name each selection once" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_row_mismatch_exits_2(self, tmp_path, spiral_csv):
+    def test_row_mismatch_exits_2(self, tmp_path, spiral_csv, capsys):
         short = tmp_path / "short.csv"
         short.write_text("x,y\n1,2\n3,4\n")
         assert run(["eval", "--high", str(spiral_csv), "--low", str(short)]) == 2
+        assert "error: row counts differ: 312 vs 2" in capsys.readouterr().err
+
+    def test_compare_row_mismatch_writes_no_report(self, tmp_path, spiral_csv, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text("x,y\n1,2\n3,4\n")
+        out = tmp_path / "e.json"
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(spiral_csv),
+                "--compare", str(short), "--out", str(out)]
+        assert run(argv) == 2
+        assert "error: row counts differ: 312 vs 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out_exits_2(self, tmp_path, spiral_csv, capsys):
         low = self._strip_labels(tmp_path, spiral_csv)
@@ -326,7 +337,29 @@ class TestEval:
     def test_runs_below_one_exits_2(self, tmp_path, spiral_csv, capsys, runs):
         argv = ["eval", "--high", str(spiral_csv), "--low", str(spiral_csv), "--runs", runs]
         assert run(argv) == 2
-        assert "error: argument --runs: must be > 0" in capsys.readouterr().err
+        assert f"error: runs must be an integer >= 1, got {runs}" in capsys.readouterr().err
+
+    def test_runs_checked_before_reading_files(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert run(["eval", "--high", missing, "--low", missing, "--runs", "0"]) == 2
+        assert "error: runs must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_1_silently(self, tmp_path):
+        # a report larger than the pipe's buffer, so eval is still writing
+        # when the reader closes its end
+        data = tmp_path / "tiny.csv"
+        pts = make_rng(3).standard_normal((12, 2))
+        data.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in pts))
+        src = str(Path(neurodavis.__file__).resolve().parent.parent)
+        argv = [sys.executable, "-m", "neurodavis.cli", "eval",
+                "--high", str(data), "--low", str(data), "--runs", "2000"]
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
 
 class TestPlot:
@@ -379,7 +412,8 @@ class TestPlot:
         out = tmp_path / "o.svg"
         argv = ["plot", "--embedding", str(emb), "--labels", str(labels), "--out", str(out)]
         assert run(argv) == 2
-        assert "one label per embedding row" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: labels must be one id per row: got shape (4,) for 5 rows" in err
         assert not out.exists()
 
     def test_separate_label_file_colors_points(self, tmp_path):
@@ -402,16 +436,26 @@ class TestPlot:
         assert err.startswith("error: ragged row") and "Traceback" not in err
         assert not out.exists()
 
+    def test_default_svg_bytes_pinned(self):
+        pts = make_rng(11).standard_normal((40, 2))
+        labels = np.arange(40) % 4
+        svg = render_scatter_svg(pts, labels).encode()
+        digest = "e809768bd3131f8d7f2ca7d5d9c8773272f70eaae631da991c88f6ce9515d20b"
+        assert hashlib.sha256(svg).hexdigest() == digest
+
     @pytest.mark.parametrize(
-        "flag,value",
-        [("--width", "-5"), ("--height", "0"), ("--point-radius", "0"), ("--point-radius", "-1")],
+        "points, labels, message",
+        [
+            (np.zeros((3, 3)), None, "plot needs a 2-D embedding, got d=3"),
+            (np.zeros(3), None, "points must be 2-D"),
+            (np.zeros((3, 2)), [0, 1], "labels must be one id per row"),
+            (np.zeros((3, 2)), [0, 2, 2], "class ids must be dense from 0"),
+        ],
+        ids=["three_columns", "1-d", "label_count", "sparse_ids"],
     )
-    def test_non_positive_size_exits_2(self, tmp_path, capsys, flag, value):
-        emb = self._embedding(tmp_path)
-        out = tmp_path / "o.svg"
-        assert run(["plot", "--embedding", str(emb), "--out", str(out), flag, value]) == 2
-        assert f"error: argument {flag}: must be > 0" in capsys.readouterr().err
-        assert not out.exists()
+    def test_renderer_checks_its_inputs(self, points, labels, message):
+        with pytest.raises(InvalidInputError, match=message):
+            render_scatter_svg(points, labels)
 
     def test_label_colors_from_palette(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
@@ -484,15 +528,6 @@ class TestUsage:
         args = vars(build_parser().parse_args(["fit", "--in", "x.csv"]))
         fields = {f.name for cls in (ModelConfig, Convergence) for f in dataclasses.fields(cls)}
         assert sorted(fields - {"convergence"} - set(args)) == []
-
-    def test_plot_defaults_are_the_renderer_defaults(self):
-        args = build_parser().parse_args(["plot", "--embedding", "e.csv", "--out", "o.svg"])
-        defaults = inspect.signature(render_scatter_svg).parameters
-        assert (args.width, args.height, args.point_radius) == (
-            defaults["width"].default,
-            defaults["height"].default,
-            defaults["point_radius"].default,
-        )
 
     def test_gen_kinds_are_the_library_kinds(self, capsys):
         assert run(["gen", "--help"]) == 0

@@ -665,9 +665,8 @@ class TestFit:
     def test_divergence_raises_with_report(self):
         x = make_rng(5).standard_normal((10, 2)) * 10
         cfg = ModelConfig(seed=0, learning_rate=1e300, epochs=50, convergence=None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDivergedError) as err:
-                fit(x, cfg)
+        with pytest.raises(TrainingDivergedError) as err:
+            fit(x, cfg)
         report = err.value.report
         assert report.diverged and not report.converged
         assert len(report.losses) >= 1 and not np.isfinite(report.losses[-1].total)
