@@ -46,6 +46,7 @@ from .numerics import (
     as_count,
     as_matrix,
     as_paired,
+    as_real,
     make_rng,
     pairwise_euclidean,
     spectral_norm,
@@ -146,8 +147,7 @@ def check_theorem1(
     j = as_count(pair[1], "pair index", 0, n - 1)
     if i == j:
         raise InvalidInputError(f"pair must be two distinct row indices, got {pair}")
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidInputError(f"eta must be in [0, 1], got {eta}")
+    eta = as_real(eta, "eta", 0, 1)
     steps = as_count(steps, "steps", 0)
     delta = 1e-3 * float(pairwise_euclidean(x)[2].max())  # the diameter's
     gap_x = float(np.linalg.norm(x[i] - x[j]))

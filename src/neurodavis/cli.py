@@ -294,6 +294,8 @@ def render_scatter_svg(points, labels=None) -> str:
     pts = as_matrix(points, "points")
     if pts.shape[1] != 2:
         raise InvalidInputError(f"plot needs a 2-D embedding, got d={pts.shape[1]}")
+    if len(pts) == 0:
+        raise InvalidInputError("plot needs at least one point")
     if labels is not None:
         labels, _ = as_class_ids(labels, len(pts))
     width, height = PLOT_WIDTH, PLOT_HEIGHT

@@ -5,6 +5,8 @@ The five 2-D generators reproduce fixed sample and class counts
 world_map 2843/5). Their geometry comes from templates committed under
 ``neurodavis/templates``; jitter is Gaussian with sigma equal to 2% of the
 component template's diameter. All generators are deterministic per seed.
+Each generator returns one point array per class; ``gen_synthetic`` stacks
+them, and a row's class id is the position of its part.
 """
 
 from __future__ import annotations
@@ -93,56 +95,50 @@ def _apportion(total: int, weights: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _gen_elliptic_ring(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _gen_elliptic_ring(rng: Rng) -> list[np.ndarray]:
     a, b = 3.0, 1.8
     sigma_ring = 0.02 * 2 * a
     theta = rng.uniform(0.0, 2.0 * math.pi, 700)
     ring = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
     ring += rng.normal(0.0, sigma_ring, (700, 2))
-    balls = []
-    for cx in (-1.2, 1.2):
-        balls.append(np.array([cx, 0.0]) + rng.normal(0.0, 0.2, (200, 2)))
-    x = np.vstack([ring, *balls])
-    labels = np.repeat([0, 1, 2], [700, 200, 200])
-    return x, labels
+    balls = [np.array([cx, 0.0]) + rng.normal(0.0, 0.2, (200, 2)) for cx in (-1.2, 1.2)]
+    return [ring, *balls]
 
 
-def _gen_olympic(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _gen_olympic(rng: Rng) -> list[np.ndarray]:
     tpl = _load_template("olympic.json")
     radius = float(tpl["radius"])
     sigma = 0.02 * 2 * radius
-    parts, labels = [], []
-    for label, center in enumerate(tpl["centers"]):
+    parts = []
+    for center in tpl["centers"]:
         theta = rng.uniform(0.0, 2.0 * math.pi, 500)
         pts = np.asarray(center) + radius * np.column_stack(
             [np.cos(theta), np.sin(theta)]
         )
         parts.append(pts + rng.normal(0.0, sigma, (500, 2)))
-        labels.append(np.full(500, label))
-    return np.vstack(parts), np.concatenate(labels)
+    return parts
 
 
-def _gen_spiral(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _gen_spiral(rng: Rng) -> list[np.ndarray]:
     r0, growth, turns = 0.25, 0.3, 3.0 * math.pi
     sigma = 0.02 * 2 * (r0 + growth * turns)
-    parts, labels = [], []
+    parts = []
     for arm in range(3):
         theta = np.sort(rng.uniform(0.0, turns, 104))
         r = r0 + growth * theta
         phi = theta + arm * 2.0 * math.pi / 3.0
         pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
         parts.append(pts + rng.normal(0.0, sigma, (104, 2)))
-        labels.append(np.full(104, arm))
-    return np.vstack(parts), np.concatenate(labels)
+    return parts
 
 
-def _gen_shape(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _gen_shape(rng: Rng) -> list[np.ndarray]:
     tpl = _load_template("shape_letters.json")
     spacing = float(tpl["spacing"])
     n_letters = len(tpl["letters"])
     width = (n_letters - 1) * spacing + 1.0
     offset = np.array([-width / 2.0, -1.0])
-    parts, labels = [], []
+    parts = []
     for idx, letter in enumerate(tpl["letters"]):
         strokes = [np.asarray(s, dtype=float) for s in letter["strokes"]]
         starts = np.array([s[0] for s in strokes])
@@ -155,20 +151,14 @@ def _gen_shape(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
         pts += rng.normal(0.0, 0.02 * diam, (400, 2))
         pts[:, 0] += idx * spacing
         parts.append(pts + offset)
-        labels.append(np.full(400, letter["label"]))
-    return np.vstack(parts), np.concatenate(labels)
+    return parts
 
 
-def _gen_world_map(rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def _gen_world_map(rng: Rng) -> list[np.ndarray]:
     tpl = _load_template("world_map.json")
     polys = [np.asarray(c["polygon"], dtype=float) for c in tpl["continents"]]
-    areas = np.array([_polygon_area(p) for p in polys])
-    counts = _apportion(2843, areas)
-    parts, labels = [], []
-    for cont, poly, cnt in zip(tpl["continents"], polys, counts):
-        parts.append(_sample_in_polygon(poly, int(cnt), rng))
-        labels.append(np.full(int(cnt), cont["label"]))
-    return np.vstack(parts), np.concatenate(labels)
+    counts = _apportion(2843, np.array([_polygon_area(p) for p in polys]))
+    return [_sample_in_polygon(p, int(c), rng) for p, c in zip(polys, counts)]
 
 
 _GENERATORS = {
@@ -187,8 +177,9 @@ def gen_synthetic(kind: str, rng: Rng) -> Dataset:
         raise InvalidInputError(
             f"unknown kind {kind!r}; expected one of {SYNTHETIC_KINDS}"
         )
-    x, labels = _GENERATORS[kind](rng)
-    return Dataset(x, labels=labels, feature_names=["x", "y"], name=kind)
+    parts = _GENERATORS[kind](rng)
+    labels = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    return Dataset(np.vstack(parts), labels=labels, feature_names=["x", "y"], name=kind)
 
 
 def lift9(ds: Dataset) -> Dataset:

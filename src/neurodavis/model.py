@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
-from .numerics import Rng, as_count, as_indices, as_matrix, make_rng, spawn_rng
+from .numerics import Rng, as_count, as_indices, as_matrix, as_real, make_rng, spawn_rng
 
 __all__ = [
     "Convergence",
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT = "neurodavis-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Adam's decay rates and denominator offset: the values Kingma & Ba
 # recommend (arXiv:1412.6980, sec. 2).
@@ -73,8 +73,7 @@ class Convergence:
 
     def __post_init__(self):
         object.__setattr__(self, "window", as_count(self.window, "convergence window", 2))
-        if not 0 <= self.rel_tol < math.inf:
-            raise InvalidInputError("convergence rel_tol must be finite and >= 0")
+        object.__setattr__(self, "rel_tol", as_real(self.rel_tol, "convergence rel_tol", 0))
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,9 @@ class ModelConfig:
         if self.hidden_widths is not None:
             widths = tuple(as_count(w, "hidden width", 1) for w in self.hidden_widths)
             object.__setattr__(self, "hidden_widths", widths)
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.learning_rate))):
-            raise InvalidInputError("alpha, beta and learning_rate must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidInputError("alpha and beta must be >= 0")
-        if self.learning_rate <= 0:
+        for name in ("alpha", "beta", "learning_rate"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name, 0))
+        if self.learning_rate == 0:
             raise InvalidInputError("learning_rate must be > 0")
 
     def resolved_hidden(self, d: int) -> tuple[int, ...]:
@@ -526,27 +523,17 @@ def embed(model: Model) -> np.ndarray:
     return model.latent_table.copy()
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape), "data": a.ravel(order="C").tolist()}
-
-
 def save_checkpoint(model: Model, config: ModelConfig, path) -> None:
-    """Write a versioned JSON checkpoint (config incl. seed, all parameter
-    matrices row-major). JSON floats round-trip bit-exactly."""
+    """Write a versioned JSON checkpoint: the config (seed included) and
+    ``params``, one ``{"shape", "data"}`` entry (data row-major) per
+    ``model.views`` name, in that order. JSON floats round-trip bit-exactly."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "params": {
-            "latent_table": _encode_array(model.latent_table),
-            "hidden": [
-                {"w": _encode_array(l.w), "b": _encode_array(l.b)}
-                for l in model.hidden
-            ],
-            "recon": {
-                "w": _encode_array(model.recon.w),
-                "b": _encode_array(model.recon.b),
-            },
+            name: {"shape": list(p.shape), "data": p.ravel().tolist()}
+            for name, p in model.views(model.theta).items()
         },
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -10,9 +10,9 @@ the package can assume well-formed matrices. Each kind of input has one
 check here: ``as_matrix`` for a matrix, ``as_paired`` for two row-aligned
 spaces, ``as_vector`` for a vector of values, ``as_class_ids`` for class
 labels, ``as_labeling`` for a clustering's labels, ``as_count`` for a
-count and ``as_indices`` for row indices. ``non_integers`` is the one
-finite-integer test and ``dense_ids`` the one ascending-value remap behind
-the two label checks and ``load_csv``.
+count, ``as_real`` for a real setting and ``as_indices`` for row indices.
+``non_integers`` is the one finite-integer test and ``dense_ids`` the one
+ascending-value remap behind the two label checks and ``load_csv``.
 
 Random number generation uses the Philox 4x64 counter-based bit generator
 (via numpy), so a given seed produces the same draw sequence on every
@@ -23,6 +23,7 @@ ascending rank order like the all-pairs set.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -50,15 +51,26 @@ def spawn_rng(seed: int, stream: int) -> Rng:
 
 def as_count(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as a Python int in [``low``, ``high``] (no upper bound when
-    ``high`` is None); any integer type passes, a float does not."""
+    ``high`` is None); any integer type passes, a float or bool does not."""
     try:
-        count = operator.index(value)
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = None
     if count is None or count < low or (high is not None and count > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise InvalidInputError(f"{name} must be an integer {bound}, got {value!r}")
     return count
+
+
+def as_real(value, name: str, low: float, high: float | None = None) -> float:
+    """``value`` as a finite Python float in [``low``, ``high``] (no upper
+    bound when ``high`` is None); any real type but bool passes."""
+    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    real = float(value) if is_real else np.nan
+    if not (np.isfinite(real) and low <= real and (high is None or real <= high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidInputError(f"{name} must be a finite real {bound}, got {value!r}")
+    return real
 
 
 def as_indices(idx, n: int, name: str) -> np.ndarray:
@@ -76,13 +88,23 @@ def as_indices(idx, n: int, name: str) -> np.ndarray:
     return a
 
 
+def _finite_reals(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array of finite values. Only a real numeric dtype
+    casts: complex, string or object input raises, as does a ragged list."""
+    try:
+        a = np.asarray(x).astype(np.float64, copy=False, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be a real numeric array: {exc}") from None
+    if a.size and not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} contains non-finite values")
+    return a
+
+
 def as_matrix(x, name: str = "x") -> np.ndarray:
     """Coerce to a finite 2-D float64 C-contiguous array or raise."""
-    a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    a = np.ascontiguousarray(_finite_reals(x, name))
     if a.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
     return a
 
 
@@ -100,10 +122,7 @@ def as_paired(x_high, x_low) -> tuple[np.ndarray, np.ndarray]:
 
 def as_vector(a, name: str) -> np.ndarray:
     """Flatten to a float64 vector of finite values or raise."""
-    v = np.asarray(a, dtype=np.float64).ravel()
-    if v.size and not np.all(np.isfinite(v)):
-        raise InvalidInputError(f"{name} contains non-finite values")
-    return v
+    return _finite_reals(a, name).ravel()
 
 
 def non_integers(a: np.ndarray) -> np.ndarray:

@@ -83,7 +83,11 @@ class TestFit:
         assert report["epochs_run"] == 5
         assert len(report["loss"]["total"]) == 5
         model = json.loads((tmp_path / "m.json").read_text())
-        assert model["format"] == "neurodavis-checkpoint"
+        assert (model["format"], model["version"]) == ("neurodavis-checkpoint", 4)
+        # the embedding CSV is the checkpoint's latent table, bit for bit
+        table = model["params"]["latent_table"]
+        latent = np.reshape(np.asarray(table["data"], dtype=np.float64), table["shape"])
+        assert latent.tobytes() == emb.x.tobytes()
 
     def test_config_echoed(self, tmp_path, spiral_csv):
         self._fit(
@@ -174,12 +178,12 @@ class TestFit:
 
     def test_nan_alpha_exits_2(self, tmp_path, spiral_csv, capsys):
         assert self._fit(tmp_path, spiral_csv, extra=["--alpha", "nan"]) == 2
-        assert "error: alpha, beta and learning_rate must be finite" in capsys.readouterr().err
+        assert "error: alpha must be a finite real >= 0, got nan" in capsys.readouterr().err
 
     def test_nan_rel_tol_exits_2(self, tmp_path, spiral_csv, capsys):
         argv = ["fit", "--in", str(spiral_csv), "--epochs", "5", "--rel-tol", "nan"]
         assert run(argv) == 2
-        assert "error: convergence rel_tol must be finite" in capsys.readouterr().err
+        assert "error: convergence rel_tol must be a finite real >= 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
 
     @pytest.mark.parametrize("flag", ["--out-report", "--out-model", "--out-embedding"])
@@ -450,8 +454,9 @@ class TestPlot:
             (np.zeros(3), None, "points must be 2-D"),
             (np.zeros((3, 2)), [0, 1], "labels must be one id per row"),
             (np.zeros((3, 2)), [0, 2, 2], "class ids must be dense from 0"),
+            (np.empty((0, 2)), None, "plot needs at least one point"),
         ],
-        ids=["three_columns", "1-d", "label_count", "sparse_ids"],
+        ids=["three_columns", "1-d", "label_count", "sparse_ids", "no_rows"],
     )
     def test_renderer_checks_its_inputs(self, points, labels, message):
         with pytest.raises(InvalidInputError, match=message):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from neurodavis.metrics import (
     knn_evaluate,
 )
 from neurodavis.numerics import make_rng
+from test_contracts import _build_mismatch
 
 EXPECTED_SHAPES = {
     "elliptic_ring": (1100, 3),
@@ -34,8 +36,29 @@ EXPECTED_SHAPES = {
     "world_map": (2843, 5),
 }
 
+# sha256 of save_csv's bytes for gen_synthetic(kind, make_rng(3)), and for
+# lift9 of the world map: each class's points in place, numbered by position
+CSV_SHA256 = {
+    "elliptic_ring": "a1d32ed5aacff91d417782dedb3c25a1ffa29b86beaa6d11e0e3774a74813b3c",
+    "olympic": "3b9c0e0ce3552a01f60e930aab19a69a2796f9ddd20ba90cc8664f680b8d72e7",
+    "spiral": "3326cdcc570863d38575e82abce62e53460eeaae1e5f5542b508ac8a30fc5c20",
+    "shape": "1437f88fef574e7226d3400708c181317ff470eea4dfd2b7a94069fed26b5d98",
+    "world_map": "6f7061cf74f3831db16b75c3bd38b8a9ee5aabec74651ca54b0ed6c454781f50",
+    "world_map_lift9": "cf7403fb5e16acbc265928a4aeec8654cc8d81bfc62af0bab857de0f1eda2bcf",
+}
+
 
 class TestGenerators:
+    @pytest.mark.parametrize("name", list(CSV_SHA256))
+    def test_csv_bytes_pinned(self, tmp_path, name):
+        mismatch = _build_mismatch()
+        if mismatch:
+            pytest.skip(mismatch)
+        ds = gen_synthetic(name.removesuffix("_lift9"), make_rng(3))
+        path = tmp_path / "data.csv"
+        save_csv(lift9(ds) if name.endswith("_lift9") else ds, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name]
+
     @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
     def test_shapes_and_classes(self, kind):
         ds = gen_synthetic(kind, make_rng(0))

@@ -150,7 +150,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_negative_penalty_rejected(self, field):
-        with pytest.raises(InvalidInputError, match="alpha and beta must be >= 0"):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be a finite real >= 0"):
             ModelConfig(**{field: -1e-6})
 
     @pytest.mark.parametrize(
@@ -675,6 +675,11 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit(np.array([[np.nan, 1.0]]), ModelConfig())
 
+    def test_rejects_complex_data(self):
+        x = make_rng(5).standard_normal((10, 2))
+        with pytest.raises(InvalidInputError, match="^x must be a real numeric array"):
+            fit(x + 1j, ModelConfig(epochs=1, convergence=None))
+
     def test_residual_matches_final_recon_term(self):
         x = make_rng(8).standard_normal((25, 4))
         cfg = ModelConfig(seed=1, alpha=0.0, beta=0.0, epochs=40, convergence=None)
@@ -711,23 +716,41 @@ class TestEmbedReconstruct:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        cfg = ModelConfig(seed=4, hidden_widths=(6, 5), alpha=1e-5)
+    @pytest.fixture
+    def saved(self, tmp_path):
         x = make_rng(9).standard_normal((15, 3))
         model, _ = fit(x, ModelConfig(seed=4, hidden_widths=(6, 5), epochs=5, convergence=None))
+        cfg = ModelConfig(seed=4, hidden_widths=(6, 5), alpha=1e-5)
         path = tmp_path / "model.json"
         save_checkpoint(model, cfg, path)
-        doc = json.loads(path.read_text())
-        assert (doc["format"], doc["version"]) == ("neurodavis-checkpoint", 3)
+        return model, cfg, json.loads(path.read_text())
+
+    def test_round_trip_bit_exact(self, saved):
+        model, cfg, doc = saved
+        assert (doc["format"], doc["version"]) == ("neurodavis-checkpoint", 4)
         assert set(doc) == {"format", "version", "config", "params"}
         assert doc["config"] == cfg.to_dict()
-        params = doc["params"]
-        stored = [params["latent_table"]]
-        for layer in (*params["hidden"], params["recon"]):
-            stored += [layer["w"], layer["b"]]
-        views = model.views(model.theta).values()
-        assert len(stored) == len(views)
-        for entry, p in zip(stored, views):
+        views = model.views(model.theta)
+        assert list(doc["params"]) == list(views)
+        for name, p in views.items():
+            entry = doc["params"][name]
             loaded = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             assert loaded.shape == p.shape
             assert loaded.tobytes() == p.tobytes()
+
+    def test_rebuilt_model_forwards_bit_identically(self, saved):
+        """A reader rebuilds the model from the file alone: ``init_model``
+        at the stored config and shapes, then each entry written into the
+        ``views`` part of the same name."""
+        model, _, doc = saved
+        params = doc["params"]
+        n, _ = params["latent_table"]["shape"]
+        d = params["recon.b"]["shape"][0]
+        rebuilt = init_model(ModelConfig(**{**doc["config"], "convergence": None}), n, d)
+        views = rebuilt.views(rebuilt.theta)
+        for name, entry in params.items():
+            views[name][...] = np.reshape(entry["data"], entry["shape"])
+        idx = np.arange(n)
+        want, got = forward(model, idx), forward(rebuilt, idx)
+        assert got.recon.tobytes() == want.recon.tobytes()
+        assert got.latent.tobytes() == want.latent.tobytes()

@@ -9,6 +9,7 @@ from neurodavis.errors import InvalidInputError
 from neurodavis.numerics import (
     as_labeling,
     as_matrix,
+    as_vector,
     dense_ids,
     make_rng,
     pair_distances,
@@ -254,6 +255,16 @@ class TestInputKinds:
     def test_matrix_must_be_2d(self, shape):
         with pytest.raises(InvalidInputError, match="must be 2-D"):
             as_matrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("check", [as_matrix, as_vector])
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", [[1.0, 2.0], [3.0]], np.ones((2, 2)) + 1j, [[1.0, 2j]]],
+        ids=["string", "ragged", "complex", "complex_list"],
+    )
+    def test_arrays_must_be_real(self, check, value):
+        with pytest.raises(InvalidInputError, match="^pts must be a real numeric array"):
+            check(value, "pts")
 
     def test_dense_ids_is_the_unique_inverse(self):
         rng = make_rng(3)
