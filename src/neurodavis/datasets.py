@@ -3,8 +3,12 @@
 The five 2-D generators reproduce fixed sample and class counts
 (elliptic_ring 1100/3, olympic 2500/5, spiral 312/3, shape 2000/5,
 world_map 2843/5). Their geometry comes from templates committed under
-``neurodavis/templates``; jitter is Gaussian with sigma equal to 2% of the
-component template's diameter. All generators are deterministic per seed.
+``neurodavis/templates``. Noise per kind: olympic's rings, spiral's arms,
+shape's letters and elliptic_ring's ring get Gaussian jitter with sigma equal
+to 2% of the component's diameter (ring, outer spiral or 1 x 2 letter cell);
+elliptic_ring's two balls are Gaussian with sigma 0.2; world_map samples
+uniformly inside its polygons with no jitter. All generators are
+deterministic per seed.
 Each generator returns one point array per class; ``gen_synthetic`` stacks
 them, and a row's class id is the position of its part.
 """

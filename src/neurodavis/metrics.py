@@ -47,18 +47,21 @@ class EvalReport:
     metrics: dict[str, float] = field(default_factory=dict)
 
 
-def rank_average(a) -> np.ndarray:
-    """Average-tie (fractional) ranks, 1-based."""
-    a = as_vector(a, "a")
+def _tie_ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average-tie ranks (1-based) of vector ``a`` and the size of each group
+    of tied values, in ascending value order."""
     order = np.argsort(a)  # ranks of tied values do not depend on their order
-    sorted_a = a[order]
-    group = np.cumsum(np.r_[0, np.diff(sorted_a) != 0])
+    group = np.cumsum(np.r_[0, np.diff(a[order]) != 0])
     counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    avg = ends - (counts - 1) / 2.0  # mean of ranks end-count+1 .. end
+    avg = np.cumsum(counts) - (counts - 1) / 2.0  # mean of ranks end-count+1 .. end
     ranks = np.empty(len(a))
     ranks[order] = avg[group]
-    return ranks
+    return ranks, counts
+
+
+def rank_average(a) -> np.ndarray:
+    """Average-tie (fractional) ranks, 1-based."""
+    return _tie_ranks(as_vector(a, "a"))[0]
 
 
 def pearson_r(a, b) -> float:
@@ -93,11 +96,10 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     n1, n2 = len(a), len(b)
     if n1 == 0 or n2 == 0:
         raise InvalidInputError("both samples must be nonempty")
-    ranks = rank_average(np.concatenate([a, b]))
+    ranks, tie_counts = _tie_ranks(np.concatenate([a, b]))
     u1 = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
     n = n1 + n2
-    _, tie_counts = np.unique(np.concatenate([a, b]), return_counts=True)
     tie_term = float((tie_counts**3 - tie_counts).sum())
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if var <= 0.0:
@@ -123,44 +125,41 @@ def distance_preservation(
     return spearman_rho(d_high, d_low)
 
 
-def _centroids(x: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.empty((n_classes, x.shape[1]))
-    for c in range(n_classes):
-        out[c] = x[labels == c].mean(axis=0)
-    return out
+def _class_rows(labels: np.ndarray) -> list[np.ndarray]:
+    """The rows of each class of dense ids, in id order and ascending within
+    each class."""
+    by_class = np.argsort(labels, kind="stable")
+    return np.split(by_class, np.cumsum(np.bincount(labels))[:-1])
+
+
+def _paired_classes(x_high, x_low, labels):
+    """Two row-aligned spaces and the rows of each of their >= 3 classes."""
+    x_high, x_low = as_paired(x_high, x_low)
+    labels, n_classes = as_class_ids(labels, x_high.shape[0])
+    if n_classes < 3:
+        raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
+    return x_high, x_low, _class_rows(labels)
 
 
 def centroid_distance_preservation(x_high, x_low, labels) -> float:
     """Spearman correlation between pairwise distances of per-class centroids
     in the two spaces. Needs >= 3 classes for a meaningful rank correlation."""
-    x_high, x_low = as_paired(x_high, x_low)
-    labels, n_classes = as_class_ids(labels, x_high.shape[0])
-    if n_classes < 3:
-        raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
-    c_high = _centroids(x_high, labels, n_classes)
-    c_low = _centroids(x_low, labels, n_classes)
-    return spearman_rho(pairwise_euclidean(c_high)[2], pairwise_euclidean(c_low)[2])
+    x_high, x_low, rows = _paired_classes(x_high, x_low, labels)
+    d_high, d_low = (
+        pairwise_euclidean(np.array([x[r].mean(axis=0) for r in rows]))[2]
+        for x in (x_high, x_low)
+    )
+    return spearman_rho(d_high, d_low)
 
 
 def cluster_area_preservation(x_high, x_low, labels) -> float:
     """Pearson correlation between per-class axis-aligned bounding-rectangle
     areas in two 2-D spaces. Singleton classes contribute area 0."""
-    x_high, x_low = as_paired(x_high, x_low)
+    x_high, x_low, rows = _paired_classes(x_high, x_low, labels)
     if x_high.shape[1] != 2 or x_low.shape[1] != 2:
         raise InvalidInputError("both spaces must be 2-D")
-    labels, n_classes = as_class_ids(labels, x_high.shape[0])
-    if n_classes < 3:
-        raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
-
-    def areas(x):
-        out = np.empty(n_classes)
-        for c in range(n_classes):
-            pts = x[labels == c]
-            ext = pts.max(axis=0) - pts.min(axis=0)
-            out[c] = ext[0] * ext[1]
-        return out
-
-    return pearson_r(areas(x_high), areas(x_low))
+    a_high, a_low = ([np.ptp(x[r], axis=0).prod() for r in rows] for x in (x_high, x_low))
+    return pearson_r(a_high, a_low)
 
 
 def _stratified_split(labels: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +167,7 @@ def _stratified_split(labels: np.ndarray, rng: Rng) -> tuple[np.ndarray, np.ndar
     send round(KNN_SPLIT * size) of them, at least one, to train, the rest
     to test."""
     train_parts, test_parts = [], []
-    # a stable sort groups the rows by class, ascending within each class
-    by_class = np.argsort(labels, kind="stable")
-    for idx in np.split(by_class, np.cumsum(np.bincount(labels))[:-1]):
+    for idx in _class_rows(labels):
         idx = idx[rng.permutation(len(idx))]
         n_train = max(int(round(KNN_SPLIT * len(idx))), 1)
         train_parts.append(idx[:n_train])
@@ -255,15 +252,14 @@ def _lloyd(
             new_labels = d2.argmin(axis=1)
         history.append(float(d2[np.arange(len(x)), new_labels].sum()))
         if np.array_equal(new_labels, labels):
-            break
+            return labels, history[-1], history
         labels = new_labels
         for c in range(k):
             members = x[labels == c]
             if len(members):
                 centers[c] = members.mean(axis=0)
-    d2 = sq_distances(x, centers)
-    inertia = float(d2[np.arange(len(x)), labels].sum())
-    return labels, inertia, history
+    d2 = sq_distances(x, centers)  # the centres moved after the last assignment
+    return labels, float(d2[np.arange(len(x)), labels].sum()), history
 
 
 def kmeans(x, k: int, rng: Rng) -> np.ndarray:
@@ -311,18 +307,17 @@ def agglomerative(x, k: int) -> np.ndarray:
     return dense_ids(owner)
 
 
-def _comb2(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1) // 2
-
-
-def _contingency(labels_true, labels_pred) -> tuple[np.ndarray, int]:
+def _pair_counts(labels_true, labels_pred) -> tuple[int, int, int, int]:
+    """Row pairs in one cluster under both labelings, under the first, under
+    the second, and all row pairs, from the contingency table."""
     ti = as_labeling(labels_true)
     pi = as_labeling(labels_pred)
     if ti.shape != pi.shape:
         raise InvalidInputError("labelings must have equal length")
     table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
     np.add.at(table, (ti, pi), 1)
-    return table, len(ti)
+    sizes = (table, table.sum(axis=1), table.sum(axis=0), np.int64(len(ti)))
+    return tuple(int((c * (c - 1) // 2).sum()) for c in sizes)
 
 
 def ari(labels_true, labels_pred) -> float:
@@ -331,11 +326,7 @@ def ari(labels_true, labels_pred) -> float:
     A degenerate pair of partitions (both one cluster, or both all
     singletons) scores 1.0 by convention.
     """
-    table, n = _contingency(labels_true, labels_pred)
-    sum_cells = int(_comb2(table).sum())
-    sum_rows = int(_comb2(table.sum(axis=1)).sum())
-    sum_cols = int(_comb2(table.sum(axis=0)).sum())
-    total = int(_comb2(np.int64(n)))
+    sum_cells, sum_rows, sum_cols, total = _pair_counts(labels_true, labels_pred)
     if total == 0:
         return 1.0
     expected = sum_rows * sum_cols / total
@@ -348,10 +339,7 @@ def ari(labels_true, labels_pred) -> float:
 def fmi(labels_true, labels_pred) -> float:
     """Fowlkes-Mallows index TP / sqrt((TP+FP)(TP+FN)) from pair counts;
     0.0 when either factor has no pairs."""
-    table, _ = _contingency(labels_true, labels_pred)
-    tp = int(_comb2(table).sum())
-    rows = int(_comb2(table.sum(axis=1)).sum())
-    cols = int(_comb2(table.sum(axis=0)).sum())
+    tp, rows, cols, _ = _pair_counts(labels_true, labels_pred)
     if rows == 0 or cols == 0:
         return 0.0
     return float(tp / math.sqrt(rows * cols))

@@ -103,8 +103,18 @@ class ModelConfig:
         if self.batch_size is not None:
             object.__setattr__(self, "batch_size", as_count(self.batch_size, "batch_size", 1))
         if self.hidden_widths is not None:
-            widths = tuple(as_count(w, "hidden width", 1) for w in self.hidden_widths)
+            try:
+                widths = tuple(as_count(w, "hidden width", 1) for w in self.hidden_widths)
+            except TypeError:  # not iterable
+                raise InvalidInputError(
+                    f"hidden_widths must be a sequence of integers or None, "
+                    f"got {self.hidden_widths!r}"
+                ) from None
             object.__setattr__(self, "hidden_widths", widths)
+        if not isinstance(self.convergence, (Convergence, type(None))):
+            raise InvalidInputError(
+                f"convergence must be a Convergence or None, got {self.convergence!r}"
+            )
         for name in ("alpha", "beta", "learning_rate"):
             object.__setattr__(self, name, as_real(getattr(self, name), name, 0))
         if self.learning_rate == 0:

@@ -1,6 +1,7 @@
 """Dense numerical substrate: seeded RNG, distances, spectral norm.
 
-One distance kernel per job, each working in blocks sized by ``_PAIR_CHUNK``:
+One distance kernel per job, each working in blocks of at most
+``_BLOCK_VALUES`` difference values, whatever the row width:
 ``pair_distances`` for listed row pairs, ``sq_distances`` for every row of
 one set against every row of another.
 
@@ -32,8 +33,9 @@ from .errors import InvalidInputError
 
 Rng = np.random.Generator
 
-# Distance kernels process index blocks of this many pairs to bound memory.
-_PAIR_CHUNK = 1 << 18
+# Float64 values per block of a distance kernel's difference tensor (8 MiB),
+# so its memory does not grow with the row width.
+_BLOCK_VALUES = 1 << 20
 
 
 def make_rng(seed: int) -> Rng:
@@ -199,8 +201,9 @@ def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     if ii.shape != jj.shape:
         raise InvalidInputError(f"ii and jj differ in length: {ii.size} vs {jj.size}")
     out = np.empty(len(ii), dtype=np.float64)
-    for s in range(0, len(ii), _PAIR_CHUNK):
-        e = min(s + _PAIR_CHUNK, len(ii))
+    step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
+    for s in range(0, len(ii), step):
+        e = min(s + step, len(ii))
         diff = x[ii[s:e]] - x[jj[s:e]]
         out[s:e] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return out
@@ -211,7 +214,7 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     out = np.empty((len(a), len(b)))
-    step = max(1, _PAIR_CHUNK // max(len(b), 1))
+    step = max(1, _BLOCK_VALUES // max(len(b) * a.shape[1], 1))
     # one block buffer for the whole call, squared in place
     buf = np.empty((min(step, len(a)), len(b), a.shape[1]))
     for s in range(0, len(a), step):

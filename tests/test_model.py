@@ -148,6 +148,19 @@ class TestConfig:
                 ModelConfig(convergence=Convergence(window=5, rel_tol=value))
         ModelConfig(convergence=Convergence(rel_tol=0.0))  # zero is valid
 
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: ModelConfig(**ModelConfig().to_dict()), "convergence"),
+            (lambda: ModelConfig(convergence=5), "convergence"),
+            (lambda: ModelConfig(hidden_widths=5), "hidden_widths"),
+        ],
+        ids=["convergence-dict", "convergence-int", "hidden_widths-int"],
+    )
+    def test_wrong_form_rejected_at_construction(self, make, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a"):
+            make()
+
     @pytest.mark.parametrize("field", ["alpha", "beta"])
     def test_negative_penalty_rejected(self, field):
         with pytest.raises(InvalidInputError, match=f"^{field} must be a finite real >= 0"):
@@ -742,11 +755,15 @@ class TestCheckpoint:
         """A reader rebuilds the model from the file alone: ``init_model``
         at the stored config and shapes, then each entry written into the
         ``views`` part of the same name."""
-        model, _, doc = saved
+        model, cfg, doc = saved
         params = doc["params"]
         n, _ = params["latent_table"]["shape"]
         d = params["recon.b"]["shape"][0]
-        rebuilt = init_model(ModelConfig(**{**doc["config"], "convergence": None}), n, d)
+        stored = doc["config"]["convergence"]
+        early_stop = None if stored is None else Convergence(**stored)
+        config = ModelConfig(**{**doc["config"], "convergence": early_stop})
+        assert config == cfg
+        rebuilt = init_model(config, n, d)
         views = rebuilt.views(rebuilt.theta)
         for name, entry in params.items():
             views[name][...] = np.reshape(entry["data"], entry["shape"])

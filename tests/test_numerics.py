@@ -104,6 +104,12 @@ class TestPairwiseEuclidean:
         np.testing.assert_allclose(d, [e[2] for e in expected], atol=1e-15)
         np.testing.assert_allclose(sorted(d), [1.0, 2.0, np.sqrt(5.0)])
 
+    def test_blocks_leave_the_bytes_unchanged(self, monkeypatch):
+        x = make_rng(8).standard_normal((20, 9))
+        whole = pairwise_euclidean(x)[2]
+        monkeypatch.setattr(numerics, "_BLOCK_VALUES", 4 * 9)  # 190 pairs, 4 per block
+        assert pairwise_euclidean(x)[2].tobytes() == whole.tobytes()
+
     def test_lexicographic_order(self):
         x = make_rng(3).standard_normal((7, 2))
         ii, jj, _ = pairwise_euclidean(x)
@@ -227,13 +233,13 @@ class TestSqDistances:
         rng = make_rng(3)
         a = rng.standard_normal((1000, 3))
         b = rng.standard_normal((700, 3))
-        assert numerics._PAIR_CHUNK // len(b) < len(a)  # several row blocks
+        assert numerics._BLOCK_VALUES // (len(b) * 3) < len(a)  # several row blocks
         got = sq_distances(a, b)
         assert got.shape == (1000, 700)
         assert got.tobytes() == self.broadcast(a, b).tobytes()
 
     def test_row_wider_than_a_block(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_PAIR_CHUNK", 5)  # one row per block
+        monkeypatch.setattr(numerics, "_BLOCK_VALUES", 5)  # one row per block
         rng = make_rng(4)
         a = np.round(rng.standard_normal((11, 9)) * 3)
         b = rng.standard_normal((7, 9))
@@ -248,6 +254,22 @@ class TestSqDistances:
         x = make_rng(5).standard_normal((30, 4))
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_allclose(np.sqrt(sq_distances(x, x)[ii, jj]), d, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kernel", ["pairwise_euclidean", "sq_distances"])
+def test_kernel_memory_does_not_grow_with_row_width(kernel):
+    # 1000 x 100 is 0.76 MiB of data; blocks sized by pair or row count
+    # alone held 577 MiB (all pairs) and 204 MiB (against 300 rows)
+    x = make_rng(6).standard_normal((1000, 100))
+    run = {"pairwise_euclidean": lambda: pairwise_euclidean(x),
+           "sq_distances": lambda: sq_distances(x, x[:300])}[kernel]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 class TestInputKinds:
