@@ -12,7 +12,6 @@ from .analysis import (
     check_theorem1,
     evaluate_embedding,
     finite_difference_gradients,
-    max_gradient_rel_error,
     run_preservation_suite,
 )
 from .datasets import (

@@ -341,33 +341,23 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.which == "lemma1":
-        report = check_lemma1(args.trials, max_dim=8, rng=make_rng(args.seed))
-        print(
-            f"lemma1: max |I - eta*W*W^T|_2 over {report.trials} trials = "
-            f"{report.max_norm:.12f} (bound 1 + {LEMMA1_TOLERANCE:g}): "
-            f"{'PASS' if report.passed else 'FAIL'}"
-        )
-        return 0 if report.passed else NUMERIC_ERROR
-    if args.which == "gradients":
-        report = check_gradients(n_models=20, seed=args.seed)
-        print(
-            f"gradients: max relative error over {report.n_models} models = "
-            f"{report.max_rel_error:.3g} (tolerance {GRADIENT_TOLERANCE:g}): "
-            f"{'PASS' if report.passed else 'FAIL'}"
-        )
-        return 0 if report.passed else NUMERIC_ERROR
-    # theorem1: duplicate one row so the pair sits inside the delta-ball
     rng = make_rng(args.seed)
-    x = rng.standard_normal((20, 3))
-    x[1] = x[0]
-    trace = check_theorem1(x, (0, 1), eta=0.5, steps=200, rng=rng)
-    print(
-        f"theorem1: gap {trace.gaps[0]:.6f} -> {trace.gaps[-1]:.6f} over "
-        f"{len(trace.gaps) - 1} steps, monotone non-increasing: "
-        f"{'PASS' if trace.monotone else 'FAIL'}"
-    )
-    return 0 if trace.monotone else NUMERIC_ERROR
+    if args.which == "lemma1":
+        report = check_lemma1(args.trials, rng)
+        detail = (f"max |I - eta*W*W^T|_2 over {report.trials} trials = "
+                  f"{report.max_norm:.12f} (bound 1 + {LEMMA1_TOLERANCE:g})")
+    elif args.which == "gradients":
+        report = check_gradients(20, rng)
+        detail = (f"max relative error over {report.n_models} models = "
+                  f"{report.max_rel_error:.3g} (tolerance {GRADIENT_TOLERANCE:g})")
+    else:  # theorem1: duplicate one row so the pair sits inside the delta-ball
+        x = rng.standard_normal((20, 3))
+        x[1] = x[0]
+        report = check_theorem1(x, (0, 1), eta=0.5, steps=200, rng=rng)
+        detail = (f"gap {report.gaps[0]:.6f} -> {report.gaps[-1]:.6f} over "
+                  f"{len(report.gaps) - 1} steps, monotone non-increasing")
+    print(f"{args.which}: {detail}: {'PASS' if report.passed else 'FAIL'}")
+    return 0 if report.passed else NUMERIC_ERROR
 
 
 def main(argv=None) -> int:

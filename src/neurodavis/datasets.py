@@ -205,13 +205,15 @@ def lift9(ds: Dataset) -> Dataset:
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
+        value = None
+    if value is None or not math.isfinite(value):
+        kind = "non-numeric" if value is None else "non-finite"
         raise CsvParseError(
-            f"non-numeric cell {cell!r} at row {row}, column {col}",
-            row=row,
-            col=col,
-        ) from None
+            f"{kind} cell {cell!r} at row {row}, column {col}", row=row, col=col
+        )
+    return value
 
 
 def load_csv(path, label_column: str | None = None) -> Dataset:
@@ -219,11 +221,12 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
     a Dataset whose feature names are the header's.
 
     The header fixes the width: every data row must have as many cells.
-    ``label_column`` names a class-id column by its header; label values
-    must be finite integers and are remapped to dense ids starting at 0
-    (ascending original value). Empty lines are skipped. Ragged rows and
-    non-numeric cells raise :class:`CsvParseError` with the 1-based row and
-    column position in the file.
+    ``label_column`` names a class-id column by its header, which must hold
+    that name once; label values must be finite integers and are remapped to
+    dense ids starting at 0 (ascending original value). Empty lines are
+    skipped. Ragged rows and non-numeric or non-finite cells raise
+    :class:`CsvParseError` with the 1-based row and column position in the
+    file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         # csv.reader yields [] for an empty line; each kept row keeps its
@@ -241,6 +244,10 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
         if label_column not in header:
             raise InvalidInputError(
                 f"label column {label_column!r} not found in header"
+            )
+        if header.count(label_column) > 1:
+            raise InvalidInputError(
+                f"label column {label_column!r} appears more than once in header"
             )
         label_idx = header.index(label_column)
     data = np.empty((len(rows), width), dtype=np.float64)
@@ -275,8 +282,11 @@ def load_csv(path, label_column: str | None = None) -> Dataset:
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset as CSV with a header; floats use 17 significant digits
     so a save/load round trip reproduces values bit-exactly. A ``label``
-    column is appended when labels are present."""
+    column is appended when labels are present, so no feature may then be
+    named ``label``."""
     names = ds.feature_names or [f"x{i}" for i in range(ds.d)]
+    if ds.labels is not None and "label" in names:
+        raise InvalidInputError("a feature named 'label' would clash with the label column")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(names + (["label"] if ds.labels is not None else []))

@@ -152,7 +152,7 @@ class TestCriterion4PublicHighDimensional:
 class TestCriterion5GradientOracle:
     def test_fifty_random_models(self):
         started = time.perf_counter()
-        result = nd.check_gradients(n_models=50, seed=0)
+        result = nd.check_gradients(n_models=50, rng=make_rng(0))
         elapsed = time.perf_counter() - started
         ok = result.max_rel_error < 1e-4 and elapsed < 30
         assert report(
@@ -165,7 +165,7 @@ class TestCriterion5GradientOracle:
 class TestCriterion6LemmaSuite:
     def test_thousand_trials(self):
         started = time.perf_counter()
-        result = nd.check_lemma1(trials=1000, max_dim=8, rng=make_rng(0))
+        result = nd.check_lemma1(trials=1000, rng=make_rng(0))
         elapsed = time.perf_counter() - started
         ok = result.max_norm <= 1.0 + 1e-9 and elapsed < 10
         assert report(
@@ -188,7 +188,7 @@ class TestCriterion7ContractionSuite:
             x = rng.standard_normal((n, d)) * float(rng.uniform(0.5, 3.0))
             x[1] = x[0]  # delta-ball pair (exact duplicate)
             trace = nd.check_theorem1(x, (0, 1), eta=eta, steps=steps, rng=rng)
-            all_monotone &= trace.monotone
+            all_monotone &= trace.passed
             assert np.all(trace.recon_fro <= 1.0 + 1e-12)
         elapsed = time.perf_counter() - started
         ok = all_monotone and elapsed < 60

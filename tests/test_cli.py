@@ -468,22 +468,65 @@ class TestPlot:
         assert '#1f77b4' in svg and '#ff7f0e' in svg and '#2ca02c' in svg
 
 
+# stdout of `check --which W --seed S` under one BLAS thread (lemma1 at seed 0
+# with --trials 50, as TestCheck.test_lemma1 runs it)
+CHECK_LINES = {
+    ("lemma1", 0): "lemma1: max |I - eta*W*W^T|_2 over 50 trials = 1.000000000000 "
+    "(bound 1 + 1e-09): PASS",
+    ("lemma1", 1): "lemma1: max |I - eta*W*W^T|_2 over 1000 trials = 1.000000000000 "
+    "(bound 1 + 1e-09): PASS",
+    ("theorem1", 0): "theorem1: gap 0.008936 -> 0.000049 over 200 steps, "
+    "monotone non-increasing: PASS",
+    ("theorem1", 1): "theorem1: gap 0.003065 -> 0.000042 over 200 steps, "
+    "monotone non-increasing: PASS",
+    ("gradients", 0): "gradients: max relative error over 20 models = 3.53e-08 "
+    "(tolerance 0.0001): PASS",
+    ("gradients", 1): "gradients: max relative error over 20 models = 3.62e-07 "
+    "(tolerance 0.0001): PASS",
+}
+
+# Each check's result made to fail: Lemma 1's bound broken, the contraction
+# trace run backwards (so it grows), the oracle's error above its tolerance.
+SPOIL = {
+    "lemma1": lambda r: dataclasses.replace(r, max_norm=2.0),
+    "theorem1": lambda r: dataclasses.replace(r, gaps=r.gaps[::-1]),
+    "gradients": lambda r: dataclasses.replace(r, max_rel_error=1.0),
+}
+
+
 class TestCheck:
+    def _prints(self, capsys, argv, which, seed):
+        assert run(["check", "--which", which, "--seed", str(seed), *argv]) == 0
+        assert capsys.readouterr().out == CHECK_LINES[which, seed] + "\n"
+
     def test_lemma1(self, capsys):
-        assert run(["check", "--which", "lemma1", "--seed", "0", "--trials", "50"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        self._prints(capsys, ["--trials", "50"], "lemma1", 0)
+
+    def test_lemma1_other_seed(self, capsys):
+        self._prints(capsys, [], "lemma1", 1)
 
     def test_gradients(self, capsys):
-        assert run(["check", "--which", "gradients", "--seed", "0"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        self._prints(capsys, [], "gradients", 0)
 
     def test_gradients_other_seed(self, capsys):
-        assert run(["check", "--which", "gradients", "--seed", "1"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        self._prints(capsys, [], "gradients", 1)
 
     def test_theorem1(self, capsys):
-        assert run(["check", "--which", "theorem1", "--seed", "0"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        self._prints(capsys, [], "theorem1", 0)
+
+    def test_theorem1_other_seed(self, capsys):
+        self._prints(capsys, [], "theorem1", 1)
+
+    @pytest.mark.parametrize("which", list(SPOIL))
+    def test_failed_check_exits_3(self, monkeypatch, capsys, which):
+        real = getattr(neurodavis.cli, f"check_{which}")
+        monkeypatch.setattr(
+            neurodavis.cli, f"check_{which}", lambda *a, **k: SPOIL[which](real(*a, **k))
+        )
+        assert run(["check", "--which", which, "--trials", "5"]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith(f"{which}: ") and out.endswith(": FAIL\n")
+        assert out.count("\n") == 1
 
 
 class TestUsage:

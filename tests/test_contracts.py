@@ -70,7 +70,7 @@ print(json.dumps({
         nd.lift9(gen("elliptic_ring", 4)), 5, epochs=5, convergence=None,
         hidden_widths=(256, 256),
     ),
-    "oracle": nd.check_gradients(50, 0).max_rel_error,
+    "oracle": nd.check_gradients(50, make_rng(0)).max_rel_error,
     "config_hash": nd.ModelConfig().config_hash(),
     **{f"eval{s}": eval_digest(world, s) for s in (21, 22, 23)},
 }))

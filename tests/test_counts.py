@@ -42,8 +42,7 @@ COUNTS = {
     "pairwise-budget": (
         "pair_budget", lambda c: pairwise_euclidean(X, c, make_rng(0)), 5
     ),
-    "lemma1-trials": ("trials", lambda c: check_lemma1(c, 2, make_rng(0)), 1),
-    "lemma1-max_dim": ("max_dim", lambda c: check_lemma1(1, c, make_rng(0)), 2),
+    "lemma1-trials": ("trials", lambda c: check_lemma1(c, make_rng(0)), 1),
     "theorem1-steps": (
         "steps", lambda c: check_theorem1(CLOSE, (0, 1), 0.5, c, make_rng(0)), 1
     ),
@@ -53,7 +52,7 @@ COUNTS = {
     "suite-n_runs": (
         "n_runs", lambda c: run_preservation_suite(Dataset(X, name="x"), TINY, c), 1
     ),
-    "gradients-n_models": ("n_models", lambda c: check_gradients(c, 0), 1),
+    "gradients-n_models": ("n_models", lambda c: check_gradients(c, make_rng(0)), 1),
     "spawn_rng-stream": ("stream", lambda c: spawn_rng(3, c), 1),
     "config-epochs": ("epochs", lambda c: ModelConfig(epochs=c), 1),
 }

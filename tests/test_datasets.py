@@ -179,6 +179,30 @@ class TestCsv:
             load_csv(p, label_column="label")
         assert (err.value.row, err.value.col) == (3, 2)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_feature_cell_position(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(CsvParseError, match="row 3, column 2") as err:
+            load_csv(p, label_column="label")
+        assert (err.value.row, err.value.col) == (3, 2)
+
+    def test_label_column_named_twice_rejected(self, tmp_path):
+        # the first "label" would be read as labels and the second as a feature
+        p = tmp_path / "t.csv"
+        p.write_text("label,y,label\n0.5,1,0\n1.5,2,1\n")
+        with pytest.raises(InvalidInputError, match="more than once"):
+            load_csv(p, label_column="label")
+
+    def test_feature_named_label_not_saved_with_labels(self, tmp_path):
+        # its header would name "label" twice, which load_csv refuses
+        ds = Dataset(np.array([[0.5], [1.5]]), labels=[0, 1], feature_names=["label"])
+        p = tmp_path / "t.csv"
+        with pytest.raises(InvalidInputError, match="'label'"):
+            save_csv(ds, p)
+        assert not p.exists()
+        save_csv(Dataset(ds.x, feature_names=["label"]), p)  # no labels, no clash
+
     def test_labels_past_int64_stay_distinct(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,label\n1,2e19\n2,1e19\n3,2e19\n")

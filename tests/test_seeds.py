@@ -1,9 +1,12 @@
 """No package code makes up a seed: every generator in ``src/neurodavis``
 comes from a seed its caller chose, so ``make_rng`` and ``spawn_rng`` never
 take a seed written as a constant there. A function that samples takes an
-``rng`` instead."""
+``rng`` instead: no other public function has a ``seed`` parameter."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import neurodavis
@@ -45,3 +48,20 @@ def test_package_makes_up_no_seed():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_the_generator_makers_take_a_seed():
+    # records such as ModelConfig and EvalReport carry a seed as data; they
+    # are classes, so only functions are looked at
+    takers = []
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        module = importlib.import_module(f"neurodavis.{info.name}")
+        for name, obj in vars(module).items():
+            if (
+                inspect.isfunction(obj)
+                and obj.__module__ == module.__name__
+                and not name.startswith("_")
+                and "seed" in inspect.signature(obj).parameters
+            ):
+                takers.append(f"{info.name}.{name}")
+    assert takers == ["numerics.make_rng", "numerics.spawn_rng"]
