@@ -4,6 +4,7 @@ latent table, plus the evaluation battery and synthetic benchmarks around it.
 
 from .analysis import (
     ContractionTrace,
+    EvalReport,
     GradientCheckReport,
     Lemma1Report,
     SuiteResult,
@@ -30,7 +31,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .metrics import (
-    EvalReport,
     agglomerative,
     ari,
     centroid_distance_preservation,

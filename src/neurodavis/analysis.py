@@ -12,7 +12,7 @@ seeded runs and reports per-run values plus medians.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .datasets import Dataset
 from .errors import InvalidInputError
 from .metrics import (
     DEFAULT_PAIR_BUDGET,
-    EvalReport,
     agglomerative,
     ari,
     centroid_distance_preservation,
@@ -101,10 +100,26 @@ class GradientCheckReport:
 
 
 @dataclass
+class EvalReport:
+    """The metric values of one seeded evaluation run."""
+
+    seed: int
+    metrics: dict[str, float]
+
+
+@dataclass
 class SuiteResult:
-    dataset: str
+    """Seeded evaluation runs, one ``EvalReport`` each, in seed order."""
+
     reports: list[EvalReport]
-    medians: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def medians(self) -> dict[str, float]:
+        """Each metric's median over the runs, in the first run's key order."""
+        return {
+            key: float(np.median([rep.metrics[key] for rep in self.reports]))
+            for key in self.reports[0].metrics
+        }
 
 
 def check_lemma1(trials: int, rng: Rng) -> Lemma1Report:
@@ -331,15 +346,6 @@ def evaluate_embedding(
     return out
 
 
-def _suite_metrics(ds: Dataset, latent_dim: int) -> tuple[str, ...]:
-    metrics: list[str] = ["distance"]
-    if ds.labels is not None and ds.n_classes >= 3:
-        metrics.append("centroid")
-        if ds.d == 2 and latent_dim == 2:
-            metrics.append("area")
-    return tuple(metrics)
-
-
 def run_preservation_suite(
     ds: Dataset,
     config: ModelConfig,
@@ -353,28 +359,16 @@ def run_preservation_suite(
     Deterministic given (dataset, config, n_runs).
     """
     n_runs = as_count(n_runs, "n_runs", 1)
-    metrics = _suite_metrics(ds, config.latent_dim)
+    metrics = ["distance"]
+    if ds.labels is not None and ds.n_classes >= 3:
+        metrics.append("centroid")
+        if ds.d == 2 and config.latent_dim == 2:
+            metrics.append("area")
     reports = []
-    for r in range(n_runs):
-        run_config = replace(config, seed=config.seed + r)
-        model, _ = fit(ds.x, run_config)
-        emb = embed(model)
+    for seed in range(config.seed, config.seed + n_runs):
+        model, _ = fit(ds.x, replace(config, seed=seed))
         values = evaluate_embedding(
-            ds.x,
-            emb,
-            labels=ds.labels,
-            metrics=metrics,
-            rng=make_rng(run_config.seed),
+            ds.x, embed(model), labels=ds.labels, metrics=tuple(metrics), rng=make_rng(seed)
         )
-        reports.append(
-            EvalReport(
-                dataset=ds.name,
-                seed=run_config.seed,
-                config_hash=run_config.config_hash(),
-                metrics=values,
-            )
-        )
-    medians: dict[str, float] = {}
-    for key in reports[0].metrics:
-        medians[key] = float(np.median([rep.metrics[key] for rep in reports]))
-    return SuiteResult(dataset=ds.name, reports=reports, medians=medians)
+        reports.append(EvalReport(seed, values))
+    return SuiteResult(reports)

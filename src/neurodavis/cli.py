@@ -27,6 +27,8 @@ from .analysis import (
     GRADIENT_TOLERANCE,
     LEMMA1_TOLERANCE,
     METRICS,
+    EvalReport,
+    SuiteResult,
     check_gradients,
     check_lemma1,
     check_theorem1,
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--which", required=True, choices=["lemma1", "theorem1", "gradients"]
     )
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, default=1000, help="lemma1 trials")
+    p_check.add_argument("--trials", type=int, help="lemma1 trials (default 1000)")
 
     return parser
 
@@ -240,8 +242,9 @@ def cmd_eval(args) -> int:
     n_runs = as_count(args.runs, "runs", 1)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     high = load_csv(args.high, label_column=args.label_col)
-    low = load_csv(args.low)
-    compare = None if args.compare is None else load_csv(args.compare)
+    embeddings = {"metrics": load_csv(args.low)}
+    if args.compare is not None:
+        embeddings["compare_metrics"] = load_csv(args.compare)
     doc: dict = {
         "schema": "neurodavis-eval-report/1",
         "high": args.high,
@@ -249,35 +252,30 @@ def cmd_eval(args) -> int:
         "seed": args.seed,
         "metrics_requested": list(metrics),
     }
-    scored = {"metrics": low}
-    if compare is not None:
-        scored["compare_metrics"] = compare
-    runs = []
-    for r in range(n_runs):
-        entry = {"seed": args.seed + r}
-        for key, emb in scored.items():
-            # a fresh generator per embedding: identical pair samples
-            entry[key] = evaluate_embedding(
-                high.x,
-                emb.x,
-                labels=high.labels,
-                metrics=metrics,
-                pair_budget=args.pair_budget,
-                rng=make_rng(args.seed + r),
-            )
-        runs.append(entry)
-    doc["runs"] = runs
-    doc["medians"] = {
-        key: float(np.median([r["metrics"][key] for r in runs]))
-        for key in runs[0]["metrics"]
+    # a fresh generator per run and embedding: identical pair samples
+    suites = {
+        key: SuiteResult([
+            EvalReport(seed, evaluate_embedding(
+                high.x, emb.x, labels=high.labels, metrics=metrics,
+                pair_budget=args.pair_budget, rng=make_rng(seed),
+            ))
+            for seed in range(args.seed, args.seed + n_runs)
+        ])
+        for key, emb in embeddings.items()
     }
-    if compare is not None:
+    doc["runs"] = [
+        {"seed": rep.seed, **{key: s.reports[r].metrics for key, s in suites.items()}}
+        for r, rep in enumerate(suites["metrics"].reports)
+    ]
+    doc["medians"] = suites["metrics"].medians
+    if args.compare is not None:
         doc["compare"] = args.compare
         doc["comparison"] = {}
-        for key in runs[0]["metrics"]:
+        low_runs, compare_runs = suites.values()
+        for key in doc["medians"]:
             u, p = mann_whitney_u(
-                [r["metrics"][key] for r in runs],
-                [r["compare_metrics"][key] for r in runs],
+                [rep.metrics[key] for rep in low_runs.reports],
+                [rep.metrics[key] for rep in compare_runs.reports],
             )
             doc["comparison"][key] = {"mw_u": u, "mw_p": p}
     text = json.dumps(doc, indent=2)
@@ -341,9 +339,11 @@ def cmd_plot(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.trials is not None and args.which != "lemma1":
+        return _fail(f"--trials applies to --which lemma1 only, not {args.which}")
     rng = make_rng(args.seed)
     if args.which == "lemma1":
-        report = check_lemma1(args.trials, rng)
+        report = check_lemma1(1000 if args.trials is None else args.trials, rng)
         detail = (f"max |I - eta*W*W^T|_2 over {report.trials} trials = "
                   f"{report.max_norm:.12f} (bound 1 + {LEMMA1_TOLERANCE:g})")
     elif args.which == "gradients":

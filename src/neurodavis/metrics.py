@@ -13,7 +13,6 @@ exact-enumeration oracle kept in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +36,6 @@ DEFAULT_PAIR_BUDGET = 2_000_000
 KNN_SPLIT = 0.8
 
 
-@dataclass
-class EvalReport:
-    """Named metric values plus provenance for one evaluation."""
-
-    dataset: str
-    seed: int
-    config_hash: str
-    metrics: dict[str, float] = field(default_factory=dict)
-
-
 def _tie_ranks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average-tie ranks (1-based) of vector ``a`` and the size of each group
     of tied values, in ascending value order."""
@@ -65,10 +54,14 @@ def rank_average(a) -> np.ndarray:
 
 
 def pearson_r(a, b) -> float:
-    """Pearson correlation coefficient."""
+    """Pearson correlation coefficient. Each input is first scaled by the
+    power of two that brings its largest |value| into [0.5, 1), so neither
+    the mean nor the sums of squares can overflow or underflow; the scaling
+    is exact, so it changes no bit of a result that was in range without it."""
     a, b = as_vector(a, "a"), as_vector(b, "b")
     if len(a) != len(b) or len(a) < 2:
         raise InvalidInputError("inputs must have equal length >= 2")
+    a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (a, b))
     ac = a - a.mean()
     bc = b - b.mean()
     sa = float(np.dot(ac, ac))

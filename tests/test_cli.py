@@ -11,7 +11,7 @@ import pytest
 
 import neurodavis
 import neurodavis.cli
-from neurodavis.analysis import METRICS
+from neurodavis.analysis import METRICS, evaluate_embedding
 from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
 from neurodavis.datasets import SYNTHETIC_KINDS, load_csv
 from neurodavis.errors import InvalidInputError
@@ -268,6 +268,39 @@ class TestEval:
         assert comparison["mw_u"] == 25.0  # identity beats noisy in all 5x5 pairs
         assert len(doc["runs"]) == 5
 
+    def test_report_is_built_from_seeded_runs(self, tmp_path, spiral_csv, capsys):
+        low = self._strip_labels(tmp_path, spiral_csv)
+        high = load_csv(spiral_csv, label_column="label")
+        other = tmp_path / "other.csv"
+        noisy = high.x + np.random.default_rng(0).normal(0, 0.5, high.x.shape)
+        np.savetxt(other, noisy, delimiter=",", header="x,y", comments="")
+        argv = ["eval", "--high", str(spiral_csv), "--low", str(low), "--label-col", "label",
+                "--metrics", ",".join(METRICS), "--runs", "3", "--seed", "4",
+                "--pair-budget", "5000"]
+        assert run([*argv, "--compare", str(other)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["schema", "high", "low", "seed", "metrics_requested",
+                             "runs", "medians", "compare", "comparison"]
+        for r, entry in enumerate(doc["runs"]):
+            assert list(entry) == ["seed", "metrics", "compare_metrics"]
+            assert entry["seed"] == 4 + r
+            for key, emb in (("metrics", low), ("compare_metrics", other)):
+                assert entry[key] == evaluate_embedding(
+                    high.x, load_csv(emb).x, labels=high.labels, metrics=METRICS,
+                    pair_budget=5000, rng=make_rng(4 + r),
+                )
+        assert doc["medians"] == {
+            key: float(np.median([entry["metrics"][key] for entry in doc["runs"]]))
+            for key in doc["runs"][0]["metrics"]
+        }
+        assert list(doc["comparison"]) == list(doc["medians"])
+        assert run(argv) == 0
+        alone = json.loads(capsys.readouterr().out)
+        assert alone["runs"] == [
+            {"seed": entry["seed"], "metrics": entry["metrics"]} for entry in doc["runs"]
+        ]
+        assert list(alone) == list(doc)[:-2]
+
     def test_without_out_prints_the_report(self, tmp_path, spiral_csv, capsys):
         low = self._strip_labels(tmp_path, spiral_csv)
         argv = ["eval", "--high", str(spiral_csv), "--low", str(low), "--label-col", "label"]
@@ -523,10 +556,19 @@ class TestCheck:
         monkeypatch.setattr(
             neurodavis.cli, f"check_{which}", lambda *a, **k: SPOIL[which](real(*a, **k))
         )
-        assert run(["check", "--which", which, "--trials", "5"]) == 3
+        trials = ["--trials", "5"] if which == "lemma1" else []
+        assert run(["check", "--which", which, *trials]) == 3
         out = capsys.readouterr().out
         assert out.startswith(f"{which}: ") and out.endswith(": FAIL\n")
         assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("trials", ["0", "5"])
+    @pytest.mark.parametrize("which", ["theorem1", "gradients"])
+    def test_trials_is_lemma1_only(self, capsys, which, trials):
+        assert run(["check", "--which", which, "--trials", trials]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --trials applies to --which lemma1 only, not {which}\n"
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,24 @@ class TestRanksAndCorrelation:
     def test_pearson_degenerate(self):
         with pytest.raises(DegenerateInputError):
             pearson_r([2.0, 2.0], [1.0, 3.0])
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_pearson_bits_unchanged_by_a_power_of_two_scale(self, k):
+        # unscaled, the sums of squares of a * 2**600 overflow and those of
+        # a * 2**-600 underflow to zero
+        rng = make_rng(3)
+        a, b = rng.standard_normal(50), rng.standard_normal(50)
+        assert pearson_r(a * 2.0**k, b) == pearson_r(a, b)
+
+    def test_pearson_far_from_unit_scale(self):
+        want = pearson_r([1, 2, 3], [1, 2, 4])
+        assert pearson_r([1e100, 2e100, 3e100], [1e100, 2e100, 4e100]) == pytest.approx(want)
+        assert pearson_r([1e-170, 2e-170, 3e-170], [1, 2, 4]) == pytest.approx(want)
+        # the sum behind the mean of these overflows unless they are scaled first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pearson_r([1e308, 1.5e308, 1.7e308], [1, 2, 4])
+        assert got == pytest.approx(pearson_r([1, 1.5, 1.7], [1, 2, 4]))
 
     @pytest.mark.parametrize("fn", [pearson_r, spearman_rho])
     @pytest.mark.parametrize(
@@ -300,6 +320,13 @@ class TestAreaPreservation:
         x, labels = TestCentroidPreservation()._clusters()
         assert cluster_area_preservation(x, x, labels) == pytest.approx(1.0)
         assert cluster_area_preservation(x, 2.0 * x, labels) == pytest.approx(1.0)
+
+    def test_areas_far_from_unit_scale(self):
+        # areas near 1e160, whose squares overflow float64
+        x, labels = TestCentroidPreservation()._clusters()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_area_preservation(x * 1e80, x * 1e80, labels) == 1.0
 
     def test_hand_built_three_clusters(self):
         # cluster extents: (1x1), (2x3), (4x2) -> areas 1, 6, 8
