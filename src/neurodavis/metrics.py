@@ -5,9 +5,9 @@ external cluster-validity indices.
 Tie handling uses average (fractional) ranks throughout. The rank-sum test
 p-value is a two-sided normal approximation with tie-corrected variance and
 continuity correction; it is meant for sample sizes around ten and above.
-For tiny samples (n1 + n2 <= 8) the absolute error against exact enumeration
-stays below 0.15 on the committed fixtures, measured against the
-exact-enumeration oracle kept in the test suite.
+Below that it can be far from the exact permutation p-value, most of all
+under ties: [0, 0, 2] against [0, 0, 0] gives 0.505 where exact enumeration
+gives 1.0. Exact small-sample p-values are ROADMAP item 11.
 """
 
 from __future__ import annotations

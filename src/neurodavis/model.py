@@ -347,28 +347,42 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _scaled_unit_rows(h: np.ndarray, c: float) -> np.ndarray:
-    """``c * h / ||h||`` row by row, in a fresh array: one scale per row,
-    applied with one multiply. Rows whose norm is zero, underflows to zero or
-    is NaN come out +0.0 (subgradient choice)."""
-    norms = _row_norms(h)
+def _scaled_unit_rows(hs: Sequence[np.ndarray], c: float) -> list[np.ndarray]:
+    """``c * h / ||h||`` row by row for each ``h`` in ``hs`` (arrays with
+    the same number of rows), each in a fresh array. The row norms of all of
+    them fill one (len(hs), rows) buffer, so one sqrt, one test and one
+    divide serve every array; each keeps its own multiply. Rows whose norm is
+    zero, underflows to zero or is NaN come out +0.0 (subgradient choice)."""
+    norms = np.empty((len(hs), len(hs[0])), hs[0].dtype)
+    for i, h in enumerate(hs):
+        np.vecdot(h, h, out=norms[i])
+    np.sqrt(norms, out=norms)
     if norms.min() > 0:  # False for any NaN norm
-        return np.multiply(h, np.divide(c, norms, out=norms)[:, None])
+        np.divide(c, norms, out=norms)
+        return [np.multiply(h, norms[i, :, None]) for i, h in enumerate(hs)]
     live = norms > 0
-    scale = np.divide(c, norms, out=np.zeros_like(norms), where=live)
-    out = np.multiply(h, scale[:, None])
-    out[~live] = 0.0  # NaN rows stay NaN and -0.0 stays -0.0 through a zero scale
-    return out
+    scales = np.divide(c, norms, out=np.zeros_like(norms), where=live)
+    outs = [np.multiply(h, scales[i, :, None]) for i, h in enumerate(hs)]
+    for out, dead in zip(outs, ~live):
+        out[dead] = 0.0  # NaN rows stay NaN and -0.0 stays -0.0 through a zero scale
+    return outs
 
 
 class _Workspace:
     """Buffers reused by the training steps of one :func:`fit`: the flat
     gradient vector with its per-layer views, two theta-sized scratch vectors
-    for Adam, and the latent rows the last :func:`gradients` call wrote."""
+    for Adam, and the latent rows the last :func:`gradients` call wrote.
+
+    ``records`` views the latent gradient block as one opaque record per
+    row (``record`` bytes wide), so clearing and writing whole rows are 1-D
+    byte copies rather than 2-D fancy-index assignments."""
 
     def __init__(self, model: Model):
         self.grad = np.zeros_like(model.theta)
         self.latent, self.hidden, self.recon = _split_layers(model, self.grad)
+        self.record = np.dtype((np.void, self.latent[0].nbytes))
+        self.records = self.latent.view(self.record).reshape(-1)
+        self.zero_record = np.zeros((), self.record)
         self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
         self.rows: np.ndarray | None = None
 
@@ -400,10 +414,12 @@ def gradients(
         idx = batch_indices
     latent, hidden_act, recon = _forward(model, idx)
     alpha, beta = config.alpha, config.beta
+    if alpha:  # every layer's activity subgradient, from one scale pass
+        unit = _scaled_unit_rows((latent, *hidden_act), alpha)
     # Every other entry is overwritten below; only the latent rows of the
     # previous batch can be nonzero.
     if _ws.rows is not None:
-        _ws.latent[_ws.rows] = 0.0
+        _ws.records[_ws.rows] = _ws.zero_record
     _ws.rows = idx
 
     # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
@@ -417,29 +433,31 @@ def gradients(
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
         if alpha:
-            d_h += _scaled_unit_rows(hidden_act[li], alpha)
+            d_h += unit[li + 1]
         np.multiply(d_h, hidden_act[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
         below = hidden_act[li - 1] if li > 0 else latent
         grad = _ws.hidden[li]
         np.matmul(below.T, d_h, out=grad.w)
         if beta:
-            fro = float(_frobenius(layer.w))
+            f = layer.w.ravel()
+            fro = math.sqrt(f.dot(f))  # correctly rounded, as np.sqrt is
             if fro > 0:
                 grad.w += layer.w * (beta / fro)
         np.add.reduce(d_h, 0, out=grad.b)
         d_h = d_h @ layer.w.T
 
     if alpha:
-        d_h += _scaled_unit_rows(latent, alpha)
+        d_h += unit[0]
     if beta:
-        fro = float(_frobenius(latent))
+        f = latent.ravel()
+        fro = math.sqrt(f.dot(f))
         if fro > 0:
             latent *= beta / fro  # last use of the gathered rows
             d_h += latent
     if fresh:
         np.add.at(_ws.latent, idx, d_h)
-    else:  # one permutation's slice: distinct rows, plain assignment
-        _ws.latent[idx] = d_h
+    else:  # one permutation's slice: distinct rows, one record each
+        _ws.records[idx] = d_h.view(_ws.record).ravel()  # d_h: fresh (m, k), C order
     return _ws.grad
 
 

@@ -194,19 +194,27 @@ def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
-    ``ii`` and ``jj`` are equal-length row indices (``as_indices``)."""
+    ``ii`` and ``jj`` are equal-length row indices (``as_indices``).
+
+    ``x`` is first scaled by the one power of two that brings max |x| into
+    [0.5, 1), and the distances are scaled back, so the squared differences
+    cannot overflow and a table at tiny scale does not underflow to zero.
+    Scaling by a power of two is exact while no value leaves the normal
+    range, so ordinary tables get the bits the unscaled kernel gives."""
     x = as_matrix(x, "x")
     n = x.shape[0]
     ii, jj = as_indices(ii, n, "ii"), as_indices(jj, n, "jj")
     if ii.shape != jj.shape:
         raise InvalidInputError(f"ii and jj differ in length: {ii.size} vs {jj.size}")
+    scale = np.frexp(np.abs(x).max(initial=0.0))[1]
+    x = np.ldexp(x, -scale)
     out = np.empty(len(ii), dtype=np.float64)
     step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
     for s in range(0, len(ii), step):
         e = min(s + step, len(ii))
         diff = x[ii[s:e]] - x[jj[s:e]]
         out[s:e] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return out
+    return np.ldexp(out, scale, out=out)
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -192,7 +192,7 @@ class TestMannWhitney:
         assert u == 0.0
         exact = oracle_mwu_exact([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert exact == pytest.approx(0.1)  # 2 of C(6,3)=20 splits as extreme
-        assert abs(p - exact) < 0.15  # documented approximation bound (n <= 8)
+        assert abs(p - exact) < 0.15  # holds on this untied fixture, not in general
 
     def test_swap_symmetry(self):
         a = [1.0, 5.0, 2.5, 7.0]

@@ -466,20 +466,38 @@ class TestUnitRows:
         h[2] = edge
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _scaled_unit_rows(h, 0.7)
+            (out,) = _scaled_unit_rows((h,), 0.7)
         assert out[2].tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
         assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
 
     def test_positive_rows_divide_plainly(self):
         # fast branch: every norm positive, including tiny rows that square
-        # to a normal number; one divide per row, one multiply
+        # to a normal number; one divide per row, one multiply per array
         h = make_rng(1).standard_normal((6, 3))
         h[1] *= 1e-150
         h[4] = [0.0, -2.0, 0.0]
-        out = _scaled_unit_rows(h, 0.7)
-        assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 0.7)
-        assert not np.shares_memory(out, h)
+        g = np.abs(make_rng(2).standard_normal((6, 5)))
+        outs = _scaled_unit_rows((h, g), 0.7)
+        for a, out in zip((h, g), outs):
+            assert out.tobytes() == reference_scaled_unit_rows(a, 0.7).tobytes()
+            np.testing.assert_allclose(np.linalg.norm(out, axis=1), 0.7)
+            assert not np.shares_memory(out, a)
+
+    def test_dead_row_in_one_layer_leaves_the_others_plain(self):
+        # one ReLU-dead row in the middle layer sends the whole scale buffer
+        # down the masked branch; every layer still rounds as it alone would
+        rng = make_rng(3)
+        hs = (rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 4))),
+              np.abs(rng.standard_normal((5, 3))))
+        hs[1][3] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = _scaled_unit_rows(hs, 0.7)
+        assert outs[1][3].tobytes() == np.zeros(4).tobytes()
+        for h, out in zip(hs, outs):
+            assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+        assert np.all(np.vecdot(outs[0], outs[0]) > 0)
+        assert np.all(np.vecdot(outs[2], outs[2]) > 0)
 
 
 class TestAdam:
@@ -558,22 +576,26 @@ class TestAdam:
         assert not np.array_equal(model.latent_table[batch], before[batch])
 
 
+# latent_dim 1, 2 and 3 write the latent gradient rows as 8-, 16- and
+# 24-byte records
 REPLAY_CASES = pytest.mark.parametrize(
-    "widths,alpha,beta,batch_size",
-    [(None, 1e-6, 1e-4, None), ((), 1e-6, 1e-4, None), (None, 0.0, 0.0, None),
-     ((5, 4), 1e-3, 1e-3, 7)],
-    ids=["default", "no-hidden", "no-regularizers", "partial-batch"],
+    "latent_dim,widths,alpha,beta,batch_size",
+    [(2, None, 1e-6, 1e-4, None), (2, (), 1e-6, 1e-4, None),
+     (2, None, 0.0, 0.0, None), (2, (5, 4), 1e-3, 1e-3, 7),
+     (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7)],
+    ids=["default", "no-hidden", "no-regularizers", "partial-batch",
+         "latent1", "latent3-no-hidden"],
 )
 
 
-def assert_fit_replays(step, widths, alpha, beta, batch_size):
+def assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size):
     """Train with fit, replay its batches over its shuffles with
     ``step(model, idx, x_batch, cfg)``, and check that theta, m and v come
     out byte-equal to fit's."""
     x = make_rng(5).standard_normal((128, 3))  # batch 64 divides, 7 does not
     cfg = ModelConfig(
-        hidden_widths=widths, alpha=alpha, beta=beta, batch_size=batch_size,
-        epochs=4, seed=11, convergence=None,
+        latent_dim=latent_dim, hidden_widths=widths, alpha=alpha, beta=beta,
+        batch_size=batch_size, epochs=4, seed=11, convergence=None,
     )
     model, _ = fit(x, cfg)
     replay = init_model(cfg, *x.shape)
@@ -591,24 +613,26 @@ def assert_fit_replays(step, widths, alpha, beta, batch_size):
 
 class TestFit:
     @REPLAY_CASES
-    def test_matches_public_step_loop(self, widths, alpha, beta, batch_size):
+    def test_matches_public_step_loop(
+        self, latent_dim, widths, alpha, beta, batch_size
+    ):
         # fit's reused workspace must train exactly as the public gradients
         # and adam_step do with fresh buffers
         def step(model, idx, x_batch, cfg):
             adam_step(model, gradients(model, idx, x_batch, cfg), cfg)
 
-        assert_fit_replays(step, widths, alpha, beta, batch_size)
+        assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size)
 
     @REPLAY_CASES
     def test_bit_identical_to_reference_formulas(
-        self, widths, alpha, beta, batch_size
+        self, latent_dim, widths, alpha, beta, batch_size
     ):
         # fit's in-place step must round exactly as the plain formulas do;
         # the public step loop runs the same in-place code and cannot tell
         def step(model, idx, x_batch, cfg):
             reference_adam(model, reference_gradients(model, idx, x_batch, cfg), cfg)
 
-        assert_fit_replays(step, widths, alpha, beta, batch_size)
+        assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size)
 
     def test_step_allocation_does_not_grow_with_n(self):
         # one workspace step allocates batch-sized temporaries only

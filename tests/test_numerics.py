@@ -167,6 +167,21 @@ class TestPairwiseEuclidean:
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_array_equal(pair_distances(x, ii, jj), d)
 
+    @pytest.mark.parametrize("power", [530, -560])
+    def test_distances_scale_exactly_with_a_power_of_two(self, power):
+        # unscaled, the squared differences overflow to inf at 2**530 and
+        # underflow to 0.0 at 2**-560
+        from neurodavis.metrics import distance_preservation
+
+        x = make_rng(0).standard_normal((30, 2))
+        ii, jj = np.triu_indices(30, k=1)
+        d = pair_distances(x, ii, jj)
+        scaled = np.ldexp(x, power)
+        with np.errstate(all="raise"):
+            got = pair_distances(scaled, ii, jj)
+        assert got.tobytes() == np.ldexp(d, power).tobytes()
+        assert distance_preservation(scaled, x) == 1.0
+
     @pytest.mark.parametrize("n", [2, 3, 7, 312, 2000])
     def test_all_pairs_byte_equal_to_triu_reference(self, n):
         x = make_rng(n).standard_normal((n, 3))
