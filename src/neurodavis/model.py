@@ -279,16 +279,22 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
 
 
 def _forward(model: Model, idx: np.ndarray):
-    """(latent, hidden activations, recon) for already-validated indices."""
+    """(latent, hidden activations, recon) for already-validated indices.
+
+    Here and in :func:`gradients` every product is ``a.dot(b)``, the method
+    form of ``np.dot``. It gives the bits of ``a @ b``: the same cblas
+    routine on float64, the same plain loop on long double. It skips
+    matmul's gufunc set-up, which costs more than the arithmetic at a batch
+    of 64."""
     latent = model.latent_table.take(idx, axis=0)
     h = latent
     hidden_act = []
     for layer in model.hidden:
-        h = h @ layer.w
+        h = h.dot(layer.w)
         h += layer.b
         np.maximum(h, 0.0, out=h)
         hidden_act.append(h)
-    recon = h @ model.recon.w
+    recon = h.dot(model.recon.w)
     recon += model.recon.b
     return latent, hidden_act, recon
 
@@ -356,9 +362,12 @@ def _scaled_unit_rows(hs: Sequence[np.ndarray], c: float) -> list[np.ndarray]:
     norms = np.empty((len(hs), len(hs[0])), hs[0].dtype)
     for i, h in enumerate(hs):
         np.vecdot(h, h, out=norms[i])
-    np.sqrt(norms, out=norms)
-    if norms.min() > 0:  # False for any NaN norm
-        np.divide(c, norms, out=norms)
+    flat = norms.ravel()
+    np.sqrt(flat, out=flat)
+    # argmin returns the first NaN if there is one, so a NaN norm fails the
+    # test as it fails min() > 0, at a quarter of min()'s cost
+    if flat[flat.argmin()] > 0:
+        np.divide(c, flat, out=flat)
         return [np.multiply(h, norms[i, :, None]) for i, h in enumerate(hs)]
     live = norms > 0
     scales = np.divide(c, norms, out=np.zeros_like(norms), where=live)
@@ -369,9 +378,14 @@ def _scaled_unit_rows(hs: Sequence[np.ndarray], c: float) -> list[np.ndarray]:
 
 
 class _Workspace:
-    """Buffers reused by the training steps of one :func:`fit`: the flat
-    gradient vector with its per-layer views, two theta-sized scratch vectors
-    for Adam, and the latent rows the last :func:`gradients` call wrote.
+    """Buffers and views reused by the training steps of one :func:`fit`:
+    the flat gradient vector, the per-layer views a backward step uses, two
+    theta-sized scratch vectors for Adam, and the latent rows the last
+    :func:`gradients` call wrote.
+
+    ``layers`` holds, for each hidden layer and then the reconstruction
+    layer, (grad w, grad b, w, w.T, w raveled): views into the gradient and
+    into ``model.theta``, made once so that no step rebuilds them.
 
     ``records`` views the latent gradient block as one opaque record per
     row (``record`` bytes wide), so clearing and writing whole rows are 1-D
@@ -379,7 +393,11 @@ class _Workspace:
 
     def __init__(self, model: Model):
         self.grad = np.zeros_like(model.theta)
-        self.latent, self.hidden, self.recon = _split_layers(model, self.grad)
+        self.latent, hidden, recon = _split_layers(model, self.grad)
+        self.layers = [
+            (g.w, g.b, p.w, p.w.T, p.w.ravel())
+            for g, p in zip((*hidden, recon), (*model.hidden, model.recon))
+        ]
         self.record = np.dtype((np.void, self.latent[0].nbytes))
         self.records = self.latent.view(self.record).reshape(-1)
         self.zero_record = np.zeros((), self.record)
@@ -426,25 +444,24 @@ def gradients(
     d_out = np.subtract(recon, x_batch, out=recon)
     d_out *= 2.0 / len(idx)
     below = hidden_act[-1] if model.hidden else latent
-    np.matmul(below.T, d_out, out=_ws.recon.w)
-    np.add.reduce(d_out, 0, out=_ws.recon.b)
-    d_h = d_out @ model.recon.w.T
+    grad_w, grad_b, _, w_t, _ = _ws.layers[-1]
+    below.T.dot(d_out, grad_w)
+    np.add.reduce(d_out, 0, out=grad_b)
+    d_h = d_out.dot(w_t)
 
     for li in reversed(range(len(model.hidden))):
-        layer = model.hidden[li]
+        grad_w, grad_b, w, w_t, f = _ws.layers[li]
         if alpha:
             d_h += unit[li + 1]
         np.multiply(d_h, hidden_act[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
         below = hidden_act[li - 1] if li > 0 else latent
-        grad = _ws.hidden[li]
-        np.matmul(below.T, d_h, out=grad.w)
+        below.T.dot(d_h, grad_w)
         if beta:
-            f = layer.w.ravel()
             fro = math.sqrt(f.dot(f))  # correctly rounded, as np.sqrt is
             if fro > 0:
-                grad.w += layer.w * (beta / fro)
-        np.add.reduce(d_h, 0, out=grad.b)
-        d_h = d_h @ layer.w.T
+                grad_w += w * (beta / fro)
+        np.add.reduce(d_h, 0, out=grad_b)
+        d_h = d_h.dot(w_t)
 
     if alpha:
         d_h += unit[0]

@@ -499,6 +499,24 @@ class TestUnitRows:
         assert np.all(np.vecdot(outs[0], outs[0]) > 0)
         assert np.all(np.vecdot(outs[2], outs[2]) > 0)
 
+    @pytest.mark.parametrize(
+        "edge", [[np.nan, 1.0, 2.0], [0.0, 0.0, 0.0]], ids=["nan", "zero"]
+    )
+    def test_last_norm_alone_dead(self, edge):
+        # the one non-positive norm is the last entry of the scale buffer: a
+        # positivity test that reads row 0 only, or uses .all() (true for a
+        # NaN), takes the plain branch and divides by it
+        rng = make_rng(4)
+        hs = (rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 4))),
+              np.abs(rng.standard_normal((5, 3))))
+        hs[2][-1] = edge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = _scaled_unit_rows(hs, 0.7)
+        assert outs[2][-1].tobytes() == np.zeros(3).tobytes()
+        for h, out in zip(hs, outs):
+            assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+
 
 class TestAdam:
     def test_zero_grads_zero_moments_no_change(self):
@@ -577,14 +595,17 @@ class TestAdam:
 
 
 # latent_dim 1, 2 and 3 write the latent gradient rows as 8-, 16- and
-# 24-byte records
+# 24-byte records; at batch 1 through one width-1 layer every product has a
+# 1 x 1, single-row or single-column operand, where numpy leaves gemm for its
+# scalar, dot and gemv paths
 REPLAY_CASES = pytest.mark.parametrize(
     "latent_dim,widths,alpha,beta,batch_size",
     [(2, None, 1e-6, 1e-4, None), (2, (), 1e-6, 1e-4, None),
      (2, None, 0.0, 0.0, None), (2, (5, 4), 1e-3, 1e-3, 7),
-     (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7)],
+     (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7),
+     (1, (1,), 1e-3, 1e-3, 1)],
     ids=["default", "no-hidden", "no-regularizers", "partial-batch",
-         "latent1", "latent3-no-hidden"],
+         "latent1", "latent3-no-hidden", "batch1-width1"],
 )
 
 
@@ -642,8 +663,12 @@ class TestFit:
             model = init_model(cfg, n, 9)
             ws = _Workspace(model)
             x = make_rng(1).standard_normal((n, 9))
-            batches = np.arange(128).reshape(2, 64)
-            for idx in batches:  # the second step re-zeroes the first's rows
+            # every step is traced and the last one counts: the first steps
+            # of a model fill numpy's small-block caches (tracemalloc counts
+            # a block taken from malloc for them as live), and each later
+            # step re-zeroes the latent rows of the one before
+            batches = np.arange(192).reshape(3, 64)
+            for idx in batches:
                 xb = x[idx]
                 tracemalloc.start()
                 try:
