@@ -188,13 +188,21 @@ def gen_synthetic(kind: str, rng: Rng) -> Dataset:
 
 def lift9(ds: Dataset) -> Dataset:
     """Map 2-D samples (x, y) to the 9-D polynomial feature vector
-    (x+y, x-y, xy, x^2, y^2, x^2*y, x*y^2, x^3, y^3), keeping labels."""
+    (x+y, x-y, xy, x^2, y^2, x^2*y, x*y^2, x^3, y^3), keeping labels.
+    Raises :class:`InvalidInputError` if a feature overflows float64 (a
+    coordinate above about 5.6e102 in magnitude)."""
     if ds.d != 2:
         raise InvalidInputError(f"lift9 requires 2-D data, got d={ds.d}")
     x, y = ds.x[:, 0], ds.x[:, 1]
-    lifted = np.column_stack(
-        [x + y, x - y, x * y, x**2, y**2, x**2 * y, x * y**2, x**3, y**3]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+        lifted = np.column_stack(
+            [x + y, x - y, x * y, x**2, y**2, x**2 * y, x * y**2, x**3, y**3]
+        )
+    if not np.isfinite(lifted).all():
+        raise InvalidInputError(
+            f"lift9 overflows float64: coordinates up to {np.abs(ds.x).max():.3g} "
+            f"in magnitude give non-finite features"
+        )
     return Dataset(
         lifted,
         labels=None if ds.labels is None else ds.labels.copy(),

@@ -389,9 +389,13 @@ class _Workspace:
 
     ``records`` views the latent gradient block as one opaque record per
     row (``record`` bytes wide), so clearing and writing whole rows are 1-D
-    byte copies rather than 2-D fancy-index assignments."""
+    byte copies rather than 2-D fancy-index assignments.
 
-    def __init__(self, model: Model):
+    ``ones`` is a vector of ones in the parameters' dtype, ``rows`` long
+    (``model.n`` by default, enough for any batch of distinct indices), whose
+    leading slice takes each bias gradient as one product."""
+
+    def __init__(self, model: Model, rows: int | None = None):
         self.grad = np.zeros_like(model.theta)
         self.latent, hidden, recon = _split_layers(model, self.grad)
         self.layers = [
@@ -402,6 +406,7 @@ class _Workspace:
         self.records = self.latent.view(self.record).reshape(-1)
         self.zero_record = np.zeros((), self.record)
         self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
+        self.ones = np.ones(model.n if rows is None else rows, model.theta.dtype)
         self.rows: np.ndarray | None = None
 
 
@@ -427,7 +432,7 @@ def gradients(
         x_batch = as_matrix(x_batch, "x_batch")
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
-        _ws = _Workspace(model)
+        _ws = _Workspace(model, len(idx))  # a repeated index may outnumber n
     else:
         idx = batch_indices
     latent, hidden_act, recon = _forward(model, idx)
@@ -443,24 +448,27 @@ def gradients(
     # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
     d_out = np.subtract(recon, x_batch, out=recon)
     d_out *= 2.0 / len(idx)
+    # each bias gradient, a batch sum, is one gemv: a quarter of np.add.reduce's cost
+    ones = _ws.ones[: len(idx)]
     below = hidden_act[-1] if model.hidden else latent
     grad_w, grad_b, _, w_t, _ = _ws.layers[-1]
     below.T.dot(d_out, grad_w)
-    np.add.reduce(d_out, 0, out=grad_b)
+    ones.dot(d_out, grad_b)
     d_h = d_out.dot(w_t)
 
     for li in reversed(range(len(model.hidden))):
         grad_w, grad_b, w, w_t, f = _ws.layers[li]
         if alpha:
             d_h += unit[li + 1]
-        np.multiply(d_h, hidden_act[li] > 0.0, out=d_h)  # ReLU: d_h is d_a
+        # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h row is NaN
+        np.multiply(d_h, np.sign(hidden_act[li]), out=d_h)
         below = hidden_act[li - 1] if li > 0 else latent
         below.T.dot(d_h, grad_w)
         if beta:
             fro = math.sqrt(f.dot(f))  # correctly rounded, as np.sqrt is
             if fro > 0:
                 grad_w += w * (beta / fro)
-        np.add.reduce(d_h, 0, out=grad_b)
+        ones.dot(d_h, grad_b)
         d_h = d_h.dot(w_t)
 
     if alpha:
@@ -571,14 +579,24 @@ def embed(model: Model) -> np.ndarray:
 def save_checkpoint(model: Model, config: ModelConfig, path) -> None:
     """Write a versioned JSON checkpoint: the config (seed included) and
     ``params``, one ``{"shape", "data"}`` entry (data row-major) per
-    ``model.views`` name, in that order. JSON floats round-trip bit-exactly."""
+    ``model.views`` name, in that order. JSON floats round-trip bit-exactly.
+
+    JSON has no token for NaN or infinity, so a model with a non-finite
+    parameter raises :class:`InvalidInputError`, naming the first such view,
+    before ``path`` is opened."""
+    views = model.views(model.theta)
+    for name, p in views.items():
+        if not np.isfinite(p).all():
+            raise InvalidInputError(
+                f"cannot checkpoint a model with a non-finite parameter in {name}"
+            )
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "config": config.to_dict(),
         "params": {
             name: {"shape": list(p.shape), "data": p.ravel().tolist()}
-            for name, p in model.views(model.theta).items()
+            for name, p in views.items()
         },
     }
     with open(path, "w", encoding="utf-8") as fh:

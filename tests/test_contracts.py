@@ -28,10 +28,10 @@ OPENBLAS_CORE = "SkylakeX"
 
 # embedding hash per gate: sha256 prefix of embed(model).tobytes()
 GATE_HASHES = {
-    "spiral": "fd3e4101e23702b7",
-    "world_map_lift9": "77e003a62399ba66",
-    "olympic": "6dd66827a2acb842",
-    "elliptic_ring_lift9": "109eff9c07c05579",
+    "spiral": "d59a78ef6c62454f",
+    "world_map_lift9": "7167dc20c7486eda",
+    "olympic": "89d4d0e7072c5f31",
+    "elliptic_ring_lift9": "ad738e33ce4765d9",
 }
 GRADIENT_ORACLE = 2.4567802438287037e-07
 DEFAULT_CONFIG_HASH = "6d5cc7a6575e9653"

@@ -124,6 +124,12 @@ class TestLift9:
         with pytest.raises(InvalidInputError):
             lift9(Dataset(np.ones((3, 3))))
 
+    def test_overflow_raises_one_error(self):
+        # x^3 overflows above about 5.6e102: one error, no numpy warnings
+        ds = Dataset(np.array([[1.0, 2.0], [-1e103, 0.5]]))
+        with pytest.raises(InvalidInputError, match="^lift9 overflows float64"):
+            lift9(ds)
+
     def test_commutes_with_row_permutation(self):
         rng = make_rng(5)
         x = rng.standard_normal((20, 2))

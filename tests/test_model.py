@@ -89,7 +89,7 @@ def reference_gradients(model, idx, x_batch, cfg):
     views = model.views(grads)
     d_out = (2.0 / len(idx)) * (recon - x_batch)
     views["recon.w"][...] = act[-1].T @ d_out
-    views["recon.b"][...] = d_out.sum(axis=0)
+    views["recon.b"][...] = np.ones(len(idx)) @ d_out
     d_h = d_out @ model.recon.w.T
     for li in reversed(range(len(model.hidden))):
         layer = model.hidden[li]
@@ -101,7 +101,7 @@ def reference_gradients(model, idx, x_batch, cfg):
             fro = float(np.linalg.norm(layer.w))
             if fro > 0:
                 views[f"hidden{li}.w"] += layer.w * (cfg.beta / fro)
-        views[f"hidden{li}.b"][...] = d_a.sum(axis=0)
+        views[f"hidden{li}.b"][...] = np.ones(len(idx)) @ d_a
         d_h = d_a @ layer.w.T
     if cfg.alpha:
         d_h = d_h + reference_scaled_unit_rows(latent, cfg.alpha)
@@ -408,6 +408,24 @@ class TestGradients:
         assert np.all(grads["latent_table"][outside] == 0.0)
         assert np.any(grads["latent_table"][batch] != 0.0)
 
+    def test_dead_unit_and_nan_row_match_reference_mask(self):
+        # the ReLU mask is sign(act), not the bool act > 0: equal at a unit
+        # dead on every row (act +0.0) and NaN only where d_h is NaN already
+        cfg = ModelConfig(seed=3, alpha=1e-3, beta=1e-3, hidden_widths=(4, 3))
+        model = init_model(cfg, 10, 3)
+        model.hidden[0].w[:, 1] = 0.0
+        model.hidden[0].b[1] = -1.0
+        model.latent_table[6] = np.nan
+        x = make_rng(2).standard_normal((10, 3))
+        batch = np.array([1, 4, 6, 8])
+        dead = forward(model, batch).hidden_act[0][:, 1]
+        assert np.array_equal(dead, [0.0, 0.0, np.nan, 0.0], equal_nan=True)
+        got = gradients(model, batch, x[batch], cfg)
+        want = reference_gradients(model, batch, x[batch], cfg)
+        assert np.array_equal(got, want, equal_nan=True)
+        latent = model.views(got)["latent_table"]
+        assert np.isnan(latent[6]).all() and np.isfinite(latent[[1, 4, 8]]).all()
+
     def test_workspace_zeroes_stale_latent_rows(self):
         # fit reuses one gradient buffer; the rows the previous batch wrote
         # must read zero in the next step's vector
@@ -597,15 +615,16 @@ class TestAdam:
 # latent_dim 1, 2 and 3 write the latent gradient rows as 8-, 16- and
 # 24-byte records; at batch 1 through one width-1 layer every product has a
 # 1 x 1, single-row or single-column operand, where numpy leaves gemm for its
-# scalar, dot and gemv paths
+# scalar, dot and gemv paths; at batch 7 through a width-1 layer that layer's
+# bias gradient, a one-column batch sum, takes numpy's vector path
 REPLAY_CASES = pytest.mark.parametrize(
     "latent_dim,widths,alpha,beta,batch_size",
     [(2, None, 1e-6, 1e-4, None), (2, (), 1e-6, 1e-4, None),
      (2, None, 0.0, 0.0, None), (2, (5, 4), 1e-3, 1e-3, 7),
      (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7),
-     (1, (1,), 1e-3, 1e-3, 1)],
+     (1, (1,), 1e-3, 1e-3, 1), (2, (1,), 1e-3, 1e-3, 7)],
     ids=["default", "no-hidden", "no-regularizers", "partial-batch",
-         "latent1", "latent3-no-hidden", "batch1-width1"],
+         "latent1", "latent3-no-hidden", "batch1-width1", "width1-batch7"],
 )
 
 
@@ -786,6 +805,18 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(model, cfg, path)
         return model, cfg, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_refused_before_writing(self, tmp_path, value):
+        # json.dump would write bare NaN / -Infinity tokens, which are not JSON
+        cfg = ModelConfig(seed=4, hidden_widths=(6, 5))
+        model = init_model(cfg, 15, 3)
+        model.hidden[1].b[2] = value
+        model.recon.w[0, 0] = value
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidInputError, match="non-finite parameter in hidden1.b$"):
+            save_checkpoint(model, cfg, path)
+        assert not path.exists()
 
     def test_round_trip_bit_exact(self, saved):
         model, cfg, doc = saved
