@@ -178,15 +178,15 @@ def check_theorem1(
         seed=int(rng.integers(2**63 - 1)),
     )
     model = init_model(config, n, x.shape[1])
-    _project_fro(model.recon.w)
+    _project_fro(model.layers[-1].w)
     gaps = [float(np.linalg.norm(model.latent_table[i] - model.latent_table[j]))]
-    fros = [float(np.linalg.norm(model.recon.w))]
+    fros = [float(np.linalg.norm(model.layers[-1].w))]
     all_idx = np.arange(n)
     for _ in range(steps):
         model.theta -= eta * gradients(model, all_idx, x, config)
-        _project_fro(model.recon.w)
+        _project_fro(model.layers[-1].w)
         gaps.append(float(np.linalg.norm(model.latent_table[i] - model.latent_table[j])))
-        fros.append(float(np.linalg.norm(model.recon.w)))
+        fros.append(float(np.linalg.norm(model.layers[-1].w)))
     return ContractionTrace(gaps=np.asarray(gaps), recon_fro=np.asarray(fros))
 
 

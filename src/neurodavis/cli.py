@@ -325,8 +325,9 @@ def render_scatter_svg(points, labels=None) -> str:
 
 
 def cmd_plot(args) -> int:
-    # labels stored alongside the coordinates come from the same load
-    same_file = args.labels == args.embedding
+    # labels in the embedding file itself (under any spelling of its path) come from one load
+    real = os.path.realpath
+    same_file = args.labels is not None and real(args.labels) == real(args.embedding)
     emb = load_csv(args.embedding, label_column=args.label_col if same_file else None)
     labels = emb.labels
     if args.labels is not None and not same_file:

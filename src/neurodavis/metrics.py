@@ -29,6 +29,7 @@ from .numerics import (
     pair_distances,
     pairwise_euclidean,
     sq_distances,
+    unit_scaled,
 )
 
 DEFAULT_PAIR_BUDGET = 2_000_000
@@ -54,14 +55,12 @@ def rank_average(a) -> np.ndarray:
 
 
 def pearson_r(a, b) -> float:
-    """Pearson correlation coefficient. Each input is first scaled by the
-    power of two that brings its largest |value| into [0.5, 1), so neither
-    the mean nor the sums of squares can overflow or underflow; the scaling
-    is exact, so it changes no bit of a result that was in range without it."""
+    """Pearson correlation coefficient of the inputs at unit scale
+    (``unit_scaled``), where no mean or sum of squares overflows or underflows."""
     a, b = as_vector(a, "a"), as_vector(b, "b")
     if len(a) != len(b) or len(a) < 2:
         raise InvalidInputError("inputs must have equal length >= 2")
-    a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (a, b))
+    a, b = unit_scaled(a)[0], unit_scaled(b)[0]
     ac = a - a.mean()
     bc = b - b.mean()
     sa = float(np.dot(ac, ac))
@@ -185,9 +184,9 @@ def knn_evaluate(
     Neighbours are ordered by (distance, original row index); vote ties go to
     the tied class whose representative appears earliest in that order.
     Returns (accuracy, macro-averaged F1); per-class F1 with empty
-    numerator/denominator counts as 0.
+    numerator/denominator counts as 0. Runs at unit scale (``unit_scaled``).
     """
-    x = as_matrix(embedding, "embedding")
+    x = unit_scaled(as_matrix(embedding, "embedding"))[0]
     labels, n_classes = as_class_ids(labels, x.shape[0])
     train, test = _stratified_split(labels, rng)
     k = as_count(k, "k", 1, len(train))
@@ -256,11 +255,12 @@ def _lloyd(
 
 
 def kmeans(x, k: int, rng: Rng) -> np.ndarray:
-    """K-means labels: ++-style seeding, Lloyd iterations to an assignment
-    fixpoint (or 300 iterations), best inertia over 10 restarts (first
-    restart wins ties). When ``x`` has fewer than k distinct rows, some
-    centres coincide and fewer than k clusters come back."""
-    x = as_matrix(x, "x")
+    """K-means labels of ``x`` at unit scale (``unit_scaled``): ++-style
+    seeding, Lloyd iterations to an assignment fixpoint (or 300 iterations),
+    best inertia over 10 restarts (first restart wins ties). When ``x`` has
+    fewer than k distinct rows, some centres coincide and fewer than k
+    clusters come back."""
+    x = unit_scaled(as_matrix(x, "x"))[0]
     k = as_count(k, "k", 1, x.shape[0])
     best_labels, best_inertia = None, math.inf
     for _ in range(10):
@@ -277,9 +277,10 @@ def agglomerative(x, k: int) -> np.ndarray:
     pair; final cluster ids are assigned by ascending smallest member index.
     The smallest-pair rule applies to the computed (Lance-Williams) linkage
     values: a tie that earlier merges create in exact arithmetic can go
-    either way by rounding (see the README's "Statistics notes").
+    either way by rounding (see the README's "Statistics notes"). Runs at
+    unit scale (``unit_scaled``).
     """
-    x = as_matrix(x, "x")
+    x = unit_scaled(as_matrix(x, "x"))[0]
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
     dist = sq_distances(x, x)

@@ -140,8 +140,7 @@ class ModelConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-@dataclass
-class Layer:
+class Layer(NamedTuple):
     w: np.ndarray  # (fan_in, fan_out)
     b: np.ndarray  # (fan_out,)
 
@@ -161,8 +160,9 @@ def _shapes(dims: tuple[int, ...]):
 class Model:
     """Trainable state. All parameters live in one flat vector ``theta``;
     Adam's moments ``m`` and ``v`` share its layout and ``t`` counts steps.
-    ``latent_table``, ``hidden`` and ``recon`` are reshaped views into
-    ``theta``, so writing through them updates it."""
+    ``latent_table`` and ``layers`` (the hidden layers in order, then the
+    reconstruction layer) are reshaped views into ``theta``, so writing
+    through them updates it."""
 
     dims: tuple[int, ...]  # (n, latent_dim, *hidden widths, d)
     theta: np.ndarray
@@ -170,11 +170,10 @@ class Model:
     v: np.ndarray
     t: int = 0
     latent_table: np.ndarray = field(init=False, repr=False)  # (n, k)
-    hidden: list[Layer] = field(init=False, repr=False)
-    recon: Layer = field(init=False, repr=False)
+    layers: list[Layer] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.latent_table, self.hidden, self.recon = _split_layers(self, self.theta)
+        self.latent_table, self.layers = _split_layers(self, self.theta)
 
     @property
     def n(self) -> int:
@@ -202,18 +201,16 @@ class Model:
 
 
 def _split_layers(model: Model, flat: np.ndarray):
-    """(latent table, hidden layers, reconstruction layer) as views into
-    ``flat``, a vector laid out like ``model.theta``."""
+    """(latent table, layers) as views into ``flat``, a vector laid out like
+    ``model.theta``; the reconstruction layer is the last layer."""
     table, *arrays = model.views(flat).values()
-    layers = [Layer(w=w, b=b) for w, b in zip(arrays[::2], arrays[1::2])]
-    return table, layers[:-1], layers[-1]
+    return table, [Layer(w, b) for w, b in zip(arrays[::2], arrays[1::2])]
 
 
 @dataclass
 class ForwardTrace:
     """Per-layer activations for one batch."""
 
-    batch_indices: np.ndarray
     latent: np.ndarray  # (m, k); latent layer is linear, h = a
     hidden_act: list[np.ndarray]  # ReLU(a); > 0 exactly where a > 0
     recon: np.ndarray  # (m, d); reconstruction layer is linear
@@ -271,10 +268,10 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     model = Model(dims, np.zeros(size), np.zeros(size), np.zeros(size))
     rng = make_rng(config.seed)
     model.latent_table[...] = rng.uniform(-0.01, 0.01, model.latent_table.shape)
-    for layer in (*model.hidden, model.recon):
-        fan_in, fan_out = layer.w.shape
+    for w, _ in model.layers:
+        fan_in, fan_out = w.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        layer.w[...] = rng.uniform(-limit, limit, (fan_in, fan_out))
+        w[...] = rng.uniform(-limit, limit, (fan_in, fan_out))
     return model
 
 
@@ -287,23 +284,22 @@ def _forward(model: Model, idx: np.ndarray):
     matmul's gufunc set-up, which costs more than the arithmetic at a batch
     of 64."""
     latent = model.latent_table.take(idx, axis=0)
-    h = latent
-    hidden_act = []
-    for layer in model.hidden:
-        h = h.dot(layer.w)
-        h += layer.b
-        np.maximum(h, 0.0, out=h)
-        hidden_act.append(h)
-    recon = h.dot(model.recon.w)
-    recon += model.recon.b
-    return latent, hidden_act, recon
+    h, hidden_act = latent, []
+    last = len(model.layers) - 1
+    for li, (w, b) in enumerate(model.layers):
+        h = h.dot(w)
+        h += b
+        if li < last:  # a hidden layer
+            np.maximum(h, 0.0, out=h)
+            hidden_act.append(h)
+    return latent, hidden_act, h
 
 
 def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
     """Forward pass for the given sample indices: table lookup at the latent
     layer, affine + ReLU through hidden layers, affine (linear) output."""
     idx = as_indices(batch_indices, model.n, "batch_indices")
-    return ForwardTrace(idx, *_forward(model, idx))
+    return ForwardTrace(*_forward(model, idx))
 
 
 def loss(
@@ -325,7 +321,7 @@ def loss(
             f"x_batch shape {x_batch.shape} does not match "
             f"reconstruction {trace.recon.shape}"
         )
-    m = len(trace.batch_indices)
+    m = len(trace.recon)
     resid = x_batch - trace.recon
     recon_term = ((resid * resid).sum() / m).item()
     activity = 0.0
@@ -333,8 +329,8 @@ def loss(
         activity += _row_norms(h).sum().item()
     activity_term = config.alpha * activity
     wsum = _frobenius(trace.latent).item()  # the batch's latent rows
-    for layer in model.hidden:
-        wsum += _frobenius(layer.w).item()
+    for w, _ in model.layers[:-1]:
+        wsum += _frobenius(w).item()
     weight_term = config.beta * wsum
     total = recon_term + activity_term + weight_term
     return LossTerms(total, recon_term, activity_term, weight_term)
@@ -383,9 +379,9 @@ class _Workspace:
     theta-sized scratch vectors for Adam, and the latent rows the last
     :func:`gradients` call wrote.
 
-    ``layers`` holds, for each hidden layer and then the reconstruction
-    layer, (grad w, grad b, w, w.T, w raveled): views into the gradient and
-    into ``model.theta``, made once so that no step rebuilds them.
+    ``layers`` holds, for each of ``model.layers``, (grad w, grad b, w, w.T,
+    w raveled): views into the gradient and into ``model.theta``, made once
+    so that no step rebuilds them.
 
     ``records`` views the latent gradient block as one opaque record per
     row (``record`` bytes wide), so clearing and writing whole rows are 1-D
@@ -397,11 +393,8 @@ class _Workspace:
 
     def __init__(self, model: Model, rows: int | None = None):
         self.grad = np.zeros_like(model.theta)
-        self.latent, hidden, recon = _split_layers(model, self.grad)
-        self.layers = [
-            (g.w, g.b, p.w, p.w.T, p.w.ravel())
-            for g, p in zip((*hidden, recon), (*model.hidden, model.recon))
-        ]
+        self.latent, grads = _split_layers(model, self.grad)
+        self.layers = [(g.w, g.b, w, w.T, w.ravel()) for g, (w, _) in zip(grads, model.layers)]
         self.record = np.dtype((np.void, self.latent[0].nbytes))
         self.records = self.latent.view(self.record).reshape(-1)
         self.zero_record = np.zeros((), self.record)
@@ -446,25 +439,21 @@ def gradients(
     _ws.rows = idx
 
     # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
-    d_out = np.subtract(recon, x_batch, out=recon)
-    d_out *= 2.0 / len(idx)
+    d_h = np.subtract(recon, x_batch, out=recon)
+    d_h *= 2.0 / len(idx)
     # each bias gradient, a batch sum, is one gemv: a quarter of np.add.reduce's cost
     ones = _ws.ones[: len(idx)]
-    below = hidden_act[-1] if model.hidden else latent
-    grad_w, grad_b, _, w_t, _ = _ws.layers[-1]
-    below.T.dot(d_out, grad_w)
-    ones.dot(d_out, grad_b)
-    d_h = d_out.dot(w_t)
-
-    for li in reversed(range(len(model.hidden))):
+    acts = (latent, *hidden_act)  # layer li reads acts[li]; a hidden one writes acts[li + 1]
+    for li in reversed(range(len(model.layers))):
         grad_w, grad_b, w, w_t, f = _ws.layers[li]
-        if alpha:
-            d_h += unit[li + 1]
-        # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h row is NaN
-        np.multiply(d_h, np.sign(hidden_act[li]), out=d_h)
-        below = hidden_act[li - 1] if li > 0 else latent
-        below.T.dot(d_h, grad_w)
-        if beta:
+        hidden = li < len(hidden_act)
+        if hidden:
+            if alpha:
+                d_h += unit[li + 1]
+            # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h row is NaN
+            np.multiply(d_h, np.sign(acts[li + 1]), out=d_h)
+        acts[li].T.dot(d_h, grad_w)
+        if beta and hidden:
             fro = math.sqrt(f.dot(f))  # correctly rounded, as np.sqrt is
             if fro > 0:
                 grad_w += w * (beta / fro)

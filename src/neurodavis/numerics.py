@@ -3,7 +3,8 @@
 One distance kernel per job, each working in blocks of at most
 ``_BLOCK_VALUES`` difference values, whatever the row width:
 ``pair_distances`` for listed row pairs, ``sq_distances`` for every row of
-one set against every row of another.
+one set against every row of another. ``sq_distances`` does not scale: the
+scale-free k-NN and clustering kernels pass it tables through ``unit_scaled``.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
@@ -192,22 +193,26 @@ def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x * 2**-e, e)`` for the integer ``e`` that brings max |x| into
+    [0.5, 1) (0 for an all-zero ``x``), so squares can neither overflow nor
+    underflow. Exact while no value leaves the normal range."""
+    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    return np.ldexp(x, -e), e
+
+
 def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
     ``ii`` and ``jj`` are equal-length row indices (``as_indices``).
 
-    ``x`` is first scaled by the one power of two that brings max |x| into
-    [0.5, 1), and the distances are scaled back, so the squared differences
-    cannot overflow and a table at tiny scale does not underflow to zero.
-    Scaling by a power of two is exact while no value leaves the normal
-    range, so ordinary tables get the bits the unscaled kernel gives."""
+    Taken at unit scale (``unit_scaled``) and scaled back, so squared
+    differences neither overflow nor underflow to zero at any scale."""
     x = as_matrix(x, "x")
     n = x.shape[0]
     ii, jj = as_indices(ii, n, "ii"), as_indices(jj, n, "jj")
     if ii.shape != jj.shape:
         raise InvalidInputError(f"ii and jj differ in length: {ii.size} vs {jj.size}")
-    scale = np.frexp(np.abs(x).max(initial=0.0))[1]
-    x = np.ldexp(x, -scale)
+    x, scale = unit_scaled(x)
     out = np.empty(len(ii), dtype=np.float64)
     step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
     for s in range(0, len(ii), step):

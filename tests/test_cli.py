@@ -242,6 +242,23 @@ class TestEval:
         assert metrics["area_pearson"] == pytest.approx(1.0)
         assert set(doc["medians"]) == set(metrics)
 
+    def test_knn_and_cluster_far_from_unit_scale(self, tmp_path, spiral_csv, capsys):
+        # an embedding at 2**531 scores as the same embedding at unit scale;
+        # unscaled, its squared distances overflow and k-means++ seeding stops
+        # on NaN probabilities
+        from neurodavis.datasets import Dataset, save_csv
+
+        ds = load_csv(spiral_csv, label_column="label")
+        reports = []
+        for power in (0, 531):
+            low = tmp_path / f"low{power}.csv"
+            save_csv(Dataset(np.ldexp(ds.x, power), feature_names=ds.feature_names), low)
+            argv = ["eval", "--high", str(spiral_csv), "--low", str(low),
+                    "--label-col", "label", "--metrics", "knn,cluster"]
+            assert run(argv) == 0
+            reports.append(json.loads(capsys.readouterr().out)["runs"])
+        assert reports[1] == reports[0]
+
     def test_compare_emits_u_and_p(self, tmp_path, spiral_csv):
         low = self._strip_labels(tmp_path, spiral_csv)
         ds = load_csv(spiral_csv, label_column="label")
@@ -424,6 +441,22 @@ class TestPlot:
         svg = out.read_text()
         assert svg.count("<circle") == 23
         assert svg.startswith("<svg")
+
+    def test_same_file_however_spelled(self, tmp_path, monkeypatch):
+        # the embedding file doubles as the labels file under any spelling of
+        # its path; read as a separate labels file its label column would
+        # count as a third coordinate
+        emb = self._embedding(tmp_path, n=9)
+        monkeypatch.chdir(tmp_path)
+        svgs = []
+        for i, spelling in enumerate([emb.name, f"./{emb.name}", str(emb)]):
+            out = tmp_path / f"o{i}.svg"
+            argv = ["plot", "--embedding", emb.name, "--labels", spelling, "--out", str(out)]
+            assert run(argv) == 0, spelling
+            svgs.append(out.read_bytes())
+        assert svgs[1] == svgs[0] and svgs[2] == svgs[0]
+        ds = load_csv(emb, label_column="label")
+        assert svgs[0].decode() == render_scatter_svg(ds.x, ds.labels)
 
     def test_identical_bytes(self, tmp_path):
         emb = self._embedding(tmp_path, with_labels=False)

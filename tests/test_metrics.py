@@ -561,6 +561,24 @@ class TestAgglomerative:
         np.testing.assert_array_equal(agglomerative(x, 2), [0, 0, 1, 0, 1, 1, 0, 0])
 
 
+@pytest.mark.parametrize("power", [531, -565])
+def test_scale_free_kernels_run_at_unit_scale(power):
+    # unscaled, the squared distances of spiral * 2**531 overflow to inf (k-NN
+    # reads chance, agglomerative merges along the diagonal, k-means++ draws
+    # from NaN probabilities) and those of spiral * 2**-565 underflow to zero
+    from neurodavis.datasets import gen_synthetic
+
+    ds = gen_synthetic("spiral", make_rng(7))
+    scaled = np.ldexp(ds.x, power)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert knn_evaluate(scaled, ds.labels, rng=make_rng(1)) == knn_evaluate(
+            ds.x, ds.labels, rng=make_rng(1)
+        )
+        assert kmeans(scaled, 3, make_rng(2)).tobytes() == kmeans(ds.x, 3, make_rng(2)).tobytes()
+        assert agglomerative(scaled, 3).tobytes() == agglomerative(ds.x, 3).tobytes()
+
+
 class TestPairCountingIndices:
     def test_identical_labelings(self):
         labels = np.array([0, 0, 1, 1, 2, 2, 2, 1])

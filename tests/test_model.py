@@ -33,19 +33,16 @@ def straight_line_forward(model, idx):
     out = np.zeros((len(idx), model.d))
     for r, i in enumerate(idx):
         h = [float(v) for v in model.latent_table[i]]
-        for layer in model.hidden:
+        for li, (w, b) in enumerate(model.layers):
             nxt = []
-            for o in range(layer.w.shape[1]):
-                acc = float(layer.b[o])
+            for o in range(w.shape[1]):
+                acc = float(b[o])
                 for c in range(len(h)):
-                    acc += h[c] * float(layer.w[c, o])
-                nxt.append(max(0.0, acc))
-            h = nxt
-        for o in range(model.recon.w.shape[1]):
-            acc = float(model.recon.b[o])
-            for c in range(len(h)):
-                acc += h[c] * float(model.recon.w[c, o])
-            out[r, o] = acc
+                    acc += h[c] * float(w[c, o])
+                nxt.append(acc)
+            # ReLU on the hidden layers; the last (reconstruction) layer is linear
+            h = [max(0.0, a) for a in nxt] if li < len(model.layers) - 1 else nxt
+        out[r] = h
     return out
 
 
@@ -79,20 +76,21 @@ def reference_scaled_unit_rows(h, c):
 def reference_gradients(model, idx, x_batch, cfg):
     """The training step's gradient formulas written plainly, one fresh array
     per operation, for a batch of distinct indices."""
+    *hidden, recon_layer = model.layers
     latent = model.latent_table[idx]
     pre, act = [], [latent]
-    for layer in model.hidden:
+    for layer in hidden:
         pre.append(act[-1] @ layer.w + layer.b)
         act.append(np.maximum(pre[-1], 0.0))
-    recon = act[-1] @ model.recon.w + model.recon.b
+    recon = act[-1] @ recon_layer.w + recon_layer.b
     grads = np.zeros_like(model.theta)
     views = model.views(grads)
     d_out = (2.0 / len(idx)) * (recon - x_batch)
     views["recon.w"][...] = act[-1].T @ d_out
     views["recon.b"][...] = np.ones(len(idx)) @ d_out
-    d_h = d_out @ model.recon.w.T
-    for li in reversed(range(len(model.hidden))):
-        layer = model.hidden[li]
+    d_h = d_out @ recon_layer.w.T
+    for li in reversed(range(len(hidden))):
+        layer = hidden[li]
         if cfg.alpha:
             d_h = d_h + reference_scaled_unit_rows(act[li + 1], cfg.alpha)
         d_a = d_h * (pre[li] > 0.0)
@@ -217,10 +215,8 @@ class TestInitModel:
         cfg = ModelConfig(latent_dim=2, hidden_widths=(4, 4))
         model = init_model(cfg, n=10, d=3)
         assert model.latent_table.shape == (10, 2)
-        assert model.hidden[0].w.shape == (2, 4)
-        assert model.hidden[1].w.shape == (4, 4)
-        assert model.recon.w.shape == (4, 3)
-        assert model.recon.b.shape == (3,)
+        assert [w.shape for w, _ in model.layers] == [(2, 4), (4, 4), (4, 3)]
+        assert [b.shape for _, b in model.layers] == [(4,), (4,), (3,)]
 
     def test_layout_views_share_theta(self):
         model = init_model(ModelConfig(latent_dim=2, hidden_widths=(4,)), n=5, d=3)
@@ -230,11 +226,12 @@ class TestInitModel:
         ]
         assert model.theta.size == 5 * 2 + (2 * 4 + 4) + (4 * 3 + 3)
         assert model.m.shape == model.v.shape == model.theta.shape
-        for a in (model.latent_table, model.hidden[0].w, model.recon.b):
+        for a in (model.latent_table, model.layers[0].w, model.layers[-1].b):
             assert np.shares_memory(a, model.theta)
-        model.recon.b[1] = 7.0
+        model.layers[-1].b[1] = 7.0
         assert model.theta[-2] == 7.0
-        assert np.array_equal(views["hidden0.w"], model.hidden[0].w)
+        assert views["recon.b"][1] == 7.0
+        assert np.array_equal(views["hidden0.w"], model.layers[0].w)
 
     def test_deterministic(self):
         cfg = ModelConfig(seed=5, hidden_widths=(3,))
@@ -244,8 +241,8 @@ class TestInitModel:
 
     def test_no_hidden_single_linear_map(self):
         model = init_model(ModelConfig(latent_dim=2, hidden_widths=()), 4, 3)
-        assert model.hidden == []
-        assert model.recon.w.shape == (2, 3)
+        assert len(model.layers) == 1
+        assert model.layers[0].w.shape == (2, 3)
 
     def test_latent_init_bounds(self):
         model = init_model(ModelConfig(seed=3), 50, 4)
@@ -254,7 +251,7 @@ class TestInitModel:
 
     def test_biases_zero_moments_zero(self):
         model = init_model(ModelConfig(seed=1, hidden_widths=(4,)), 5, 3)
-        assert np.all(model.hidden[0].b == 0)
+        assert all(np.all(b == 0) for _, b in model.layers)
         assert model.t == 0
         assert np.all(model.m == 0) and np.all(model.v == 0)
 
@@ -268,17 +265,17 @@ class TestForward:
     def test_linear_hand_case(self):
         model = init_model(ModelConfig(latent_dim=1, hidden_widths=()), 1, 1)
         model.latent_table[0, 0] = 2.0
-        model.recon.w[0, 0] = 3.0
-        model.recon.b[0] = 1.0
+        model.layers[-1].w[0, 0] = 3.0
+        model.layers[-1].b[0] = 1.0
         assert forward(model, [0]).recon[0, 0] == 7.0
 
     def test_matches_straight_line_oracle(self):
         rng = make_rng(11)
         model = init_model(ModelConfig(seed=2, latent_dim=3, hidden_widths=(5, 4)), 8, 4)
         model.latent_table[...] = rng.standard_normal((8, 3))
-        for layer in (*model.hidden, model.recon):
-            layer.w[...] = rng.standard_normal(layer.w.shape)
-            layer.b[...] = rng.standard_normal(layer.b.shape)
+        for w, b in model.layers:
+            w[...] = rng.standard_normal(w.shape)
+            b[...] = rng.standard_normal(b.shape)
         idx = [1, 3, 7, 0]
         np.testing.assert_allclose(
             forward(model, idx).recon, straight_line_forward(model, idx), atol=1e-12
@@ -287,8 +284,8 @@ class TestForward:
     def test_relu_applied_to_hidden_only(self):
         model = init_model(ModelConfig(seed=0, hidden_widths=(4,)), 5, 2)
         trace = forward(model, [0, 1])
-        layer = model.hidden[0]
-        pre = trace.latent @ layer.w + layer.b
+        w, b = model.layers[0]
+        pre = trace.latent @ w + b
         assert np.all(trace.hidden_act[0] >= 0)
         np.testing.assert_array_equal(trace.hidden_act[0], np.maximum(pre, 0.0))
 
@@ -317,7 +314,7 @@ class TestLoss:
     def test_single_sample_squared_error(self):
         cfg = ModelConfig(latent_dim=1, hidden_widths=(), alpha=0.0, beta=0.0)
         model = zero_model(init_model(cfg, 1, 1))
-        model.recon.b[0] = 1.0  # reconstruction is 1, target 3
+        model.layers[-1].b[0] = 1.0  # reconstruction is 1, target 3
         terms = loss(forward(model, [0]), np.array([[3.0]]), model, cfg)
         assert terms.total == 4.0
         assert terms.recon_term == 4.0
@@ -393,7 +390,7 @@ class TestGradients:
         x = make_rng(1).standard_normal((4, 3))
         grads = gradients(model, np.arange(4), x, cfg)
         trace = forward(model, np.arange(4))
-        expected = -(2.0 / 4) * (x - trace.recon) @ model.recon.w.T
+        expected = -(2.0 / 4) * (x - trace.recon) @ model.layers[-1].w.T
         np.testing.assert_allclose(
             model.views(grads)["latent_table"], expected, atol=1e-12
         )
@@ -413,8 +410,8 @@ class TestGradients:
         # dead on every row (act +0.0) and NaN only where d_h is NaN already
         cfg = ModelConfig(seed=3, alpha=1e-3, beta=1e-3, hidden_widths=(4, 3))
         model = init_model(cfg, 10, 3)
-        model.hidden[0].w[:, 1] = 0.0
-        model.hidden[0].b[1] = -1.0
+        model.layers[0].w[:, 1] = 0.0
+        model.layers[0].b[1] = -1.0
         model.latent_table[6] = np.nan
         x = make_rng(2).standard_normal((10, 3))
         batch = np.array([1, 4, 6, 8])
@@ -555,7 +552,7 @@ class TestAdam:
         adam_step(model, grads, cfg)
         # first step: m_hat = v_hat = 1 -> delta = -lr / (1 + eps)
         expected = -0.1 / (1.0 + ADAM_EPS)
-        assert model.recon.w[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert model.layers[-1].w[0, 0] == pytest.approx(expected, abs=1e-12)
         # second identical step, recurrence evaluated by hand
         adam_step(model, grads, cfg)
         m = 0.9 * 0.1 + 0.1 * 1.0
@@ -563,7 +560,7 @@ class TestAdam:
         mh = m / (1 - 0.9**2)
         vh = v / (1 - 0.999**2)
         expected += -0.1 * mh / (np.sqrt(vh) + ADAM_EPS)
-        assert model.recon.w[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert model.layers[-1].w[0, 0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("b1,b2", [(ADAM_BETA1, ADAM_BETA2)])
     def test_matches_textbook_recurrence(self, b1, b2):
@@ -616,15 +613,18 @@ class TestAdam:
 # 24-byte records; at batch 1 through one width-1 layer every product has a
 # 1 x 1, single-row or single-column operand, where numpy leaves gemm for its
 # scalar, dot and gemv paths; at batch 7 through a width-1 layer that layer's
-# bias gradient, a one-column batch sum, takes numpy's vector path
+# bias gradient, a one-column batch sum, takes numpy's vector path; with
+# three hidden layers the middle one reads and writes hidden activations
 REPLAY_CASES = pytest.mark.parametrize(
     "latent_dim,widths,alpha,beta,batch_size",
     [(2, None, 1e-6, 1e-4, None), (2, (), 1e-6, 1e-4, None),
      (2, None, 0.0, 0.0, None), (2, (5, 4), 1e-3, 1e-3, 7),
      (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7),
-     (1, (1,), 1e-3, 1e-3, 1), (2, (1,), 1e-3, 1e-3, 7)],
+     (1, (1,), 1e-3, 1e-3, 1), (2, (1,), 1e-3, 1e-3, 7),
+     (2, (5, 4, 3), 1e-3, 1e-3, 7)],
     ids=["default", "no-hidden", "no-regularizers", "partial-batch",
-         "latent1", "latent3-no-hidden", "batch1-width1", "width1-batch7"],
+         "latent1", "latent3-no-hidden", "batch1-width1", "width1-batch7",
+         "three-hidden"],
 )
 
 
@@ -811,8 +811,8 @@ class TestCheckpoint:
         # json.dump would write bare NaN / -Infinity tokens, which are not JSON
         cfg = ModelConfig(seed=4, hidden_widths=(6, 5))
         model = init_model(cfg, 15, 3)
-        model.hidden[1].b[2] = value
-        model.recon.w[0, 0] = value
+        model.layers[1].b[2] = value
+        model.layers[-1].w[0, 0] = value
         path = tmp_path / "model.json"
         with pytest.raises(InvalidInputError, match="non-finite parameter in hidden1.b$"):
             save_checkpoint(model, cfg, path)

@@ -17,6 +17,7 @@ from neurodavis.numerics import (
     spawn_rng,
     spectral_norm,
     sq_distances,
+    unit_scaled,
 )
 
 
@@ -269,6 +270,25 @@ class TestSqDistances:
         x = make_rng(5).standard_normal((30, 4))
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_allclose(np.sqrt(sq_distances(x, x)[ii, jj]), d, rtol=1e-15)
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("power", [0, 7, 531, -565])
+    def test_exact_power_of_two(self, power):
+        x = make_rng(6).standard_normal((5, 3))
+        big = np.abs(x).max()
+        scaled, e = unit_scaled(np.ldexp(x, power))
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+        assert e == power + np.frexp(big)[1]
+        assert np.ldexp(scaled, e).tobytes() == np.ldexp(x, power).tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [np.array([[0.5, -0.75], [0.0, 0.999]]), np.zeros((3, 2)), np.zeros((0, 2))],
+        ids=["unit", "zero", "empty"],
+    )
+    def test_exponent_zero_leaves_the_table_as_is(self, x):
+        scaled, e = unit_scaled(x)
+        assert e == 0 and scaled.tobytes() == x.tobytes()
 
 
 @pytest.mark.parametrize("kernel", ["pairwise_euclidean", "sq_distances"])
