@@ -28,6 +28,7 @@ from .numerics import (
     dense_ids,
     pair_distances,
     pairwise_euclidean,
+    distances,
     sq_distances,
     unit_scaled,
 )
@@ -184,14 +185,15 @@ def knn_evaluate(
     Neighbours are ordered by (distance, original row index); vote ties go to
     the tied class whose representative appears earliest in that order.
     Returns (accuracy, macro-averaged F1); per-class F1 with empty
-    numerator/denominator counts as 0. Runs at unit scale (``unit_scaled``).
+    numerator/denominator counts as 0. Distances come from
+    ``numerics.distances``, which keeps small ones at any scale.
     """
-    x = unit_scaled(as_matrix(embedding, "embedding"))[0]
+    x = as_matrix(embedding, "embedding")
     labels, n_classes = as_class_ids(labels, x.shape[0])
     train, test = _stratified_split(labels, rng)
     k = as_count(k, "k", 1, len(train))
     preds = np.empty(len(test), dtype=np.int64)
-    dists = np.sqrt(sq_distances(x[test], x[train]))
+    dists = distances(x[test], x[train])
     for t in range(len(test)):
         # train is sorted, so a stable sort orders by (distance, row index)
         nearest = labels[train[np.argsort(dists[t], kind="stable")[:k]]]
@@ -259,7 +261,11 @@ def kmeans(x, k: int, rng: Rng) -> np.ndarray:
     seeding, Lloyd iterations to an assignment fixpoint (or 300 iterations),
     best inertia over 10 restarts (first restart wins ties). When ``x`` has
     fewer than k distinct rows, some centres coincide and fewer than k
-    clusters come back."""
+    clusters come back.
+
+    Squared distances are compared at that one scale, so a table whose
+    values span more than about 2**537 loses its smallest squares to
+    underflow there (``numerics.distances`` keeps them; k-means does not)."""
     x = unit_scaled(as_matrix(x, "x"))[0]
     k = as_count(k, "k", 1, x.shape[0])
     best_labels, best_inertia = None, math.inf
@@ -277,14 +283,13 @@ def agglomerative(x, k: int) -> np.ndarray:
     pair; final cluster ids are assigned by ascending smallest member index.
     The smallest-pair rule applies to the computed (Lance-Williams) linkage
     values: a tie that earlier merges create in exact arithmetic can go
-    either way by rounding (see the README's "Statistics notes"). Runs at
-    unit scale (``unit_scaled``).
+    either way by rounding (see the README's "Statistics notes"). Distances
+    come from ``numerics.distances``, which keeps small ones at any scale.
     """
-    x = unit_scaled(as_matrix(x, "x"))[0]
+    x = as_matrix(x, "x")
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
-    dist = sq_distances(x, x)
-    np.sqrt(dist, out=dist)
+    dist = distances(x, x)
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members

@@ -2,9 +2,11 @@
 
 One distance kernel per job, each working in blocks of at most
 ``_BLOCK_VALUES`` difference values, whatever the row width:
-``pair_distances`` for listed row pairs, ``sq_distances`` for every row of
-one set against every row of another. ``sq_distances`` does not scale: the
-scale-free k-NN and clustering kernels pass it tables through ``unit_scaled``.
+``pair_distances`` for listed row pairs, ``distances`` for every row of one
+set against every row of another, and ``sq_distances`` for the squares
+k-means compares. The first two take their sums of squares at unit scale
+(``unit_scaled``) and retake, from the unscaled rows, each pair whose sum
+fell below the normal range; ``sq_distances`` does not scale.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
@@ -201,29 +203,74 @@ def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(x, -e), e
 
 
+def _own_scale_distances(a: np.ndarray, b: np.ndarray, ii, jj) -> np.ndarray:
+    """``|a[ii[p]] - b[jj[p]]|`` for each p, from the unscaled rows, each pair
+    at the power of two of its own largest difference, so no pair's
+    difference underflows because another row is large; in blocks of
+    ``_BLOCK_VALUES`` values. Negating the difference changes no bit."""
+    out = np.empty(len(ii))
+    step = max(1, _BLOCK_VALUES // max(a.shape[1], 1))
+    for s in range(0, len(ii), step):
+        diff = a[ii[s : s + step]] - b[jj[s : s + step]]
+        e = np.frexp(np.abs(diff).max(axis=1, initial=0.0))[1]
+        np.ldexp(diff, -e[:, None], out=diff)
+        out[s : s + step] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", diff, diff)), e)
+    return out
+
+
+def _below_normal(sums: np.ndarray) -> np.ndarray:
+    """Flat indices of the sums of squares below 2**-1022: where the
+    unit-scaled rows lost precision or underflowed to zero."""
+    return np.flatnonzero(sums < np.finfo(np.float64).tiny)
+
+
 def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
     ``ii`` and ``jj`` are equal-length row indices (``as_indices``).
 
     Taken at unit scale (``unit_scaled``) and scaled back, so squared
-    differences neither overflow nor underflow to zero at any scale."""
-    x = as_matrix(x, "x")
-    n = x.shape[0]
+    differences cannot overflow. A pair whose sum of squares falls below the
+    normal range there is retaken by ``_own_scale_distances``, so a table
+    spanning 2**+-1000 keeps its small distances."""
+    raw = as_matrix(x, "x")
+    n = raw.shape[0]
     ii, jj = as_indices(ii, n, "ii"), as_indices(jj, n, "jj")
     if ii.shape != jj.shape:
         raise InvalidInputError(f"ii and jj differ in length: {ii.size} vs {jj.size}")
-    x, scale = unit_scaled(x)
-    out = np.empty(len(ii), dtype=np.float64)
+    x, scale = unit_scaled(raw)
+    sums = np.empty(len(ii), dtype=np.float64)
     step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
     for s in range(0, len(ii), step):
         e = min(s + step, len(ii))
         diff = x[ii[s:e]] - x[jj[s:e]]
-        out[s:e] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return np.ldexp(out, scale, out=out)
+        sums[s:e] = np.einsum("ij,ij->i", diff, diff)
+    out = np.ldexp(np.sqrt(sums), scale)
+    small = _below_normal(sums)
+    out[small] = _own_scale_distances(raw, raw, ii[small], jj[small])
+    return out
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances, rows of ``a`` by rows of ``b``: ``sq_distances``
+    at the unit scale of both tables together, rooted and scaled back, with
+    each pair whose sum of squares falls below the normal range retaken by
+    ``_own_scale_distances``. Every step is symmetric in ``a`` and ``b``, so
+    ``distances(x, x)`` is exactly symmetric. A distance beyond float64's
+    largest value (rows near 1e308) comes out inf."""
+    a, b = as_matrix(a, "a"), as_matrix(b, "b")
+    top = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    scale = int(np.frexp(top)[1])
+    sums = sq_distances(np.ldexp(a, -scale), np.ldexp(b, -scale))
+    out = np.ldexp(np.sqrt(sums), scale)
+    ii, jj = np.divmod(_below_normal(sums), max(len(b), 1))
+    out[ii, jj] = _own_scale_distances(a, b, ii, jj)
+    return out
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, rows of ``a`` by rows of ``b``, chunked."""
+    """Squared Euclidean distances, rows of ``a`` by rows of ``b``, chunked.
+    Not scaled: a square beyond float64's range overflows to inf or
+    underflows to zero, so callers pass tables near unit scale."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     out = np.empty((len(a), len(b)))

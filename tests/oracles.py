@@ -96,10 +96,11 @@ def oracle_fmi(lt, lp):
     return tp / math.sqrt((tp + fp) * (tp + fn))
 
 
-def oracle_average_linkage(x, k):
+def oracle_average_linkage(x, k, dist=lambda p, q: np.linalg.norm(p - q)):
     """Direct average-linkage clustering: cluster-pair distances recomputed
-    from raw point distances at every step (no recurrence); ties merge the
-    smallest pair of cluster roots (a cluster's root is its minimum member).
+    from raw point distances ``dist(x[i], x[j])`` at every step (no
+    recurrence); ties merge the smallest pair of cluster roots (a cluster's
+    root is its minimum member).
     """
     x = np.asarray(x, dtype=float)
     clusters = [[i] for i in range(len(x))]
@@ -109,7 +110,7 @@ def oracle_average_linkage(x, k):
             for b in range(a + 1, len(clusters)):
                 d = np.mean(
                     [
-                        np.linalg.norm(x[i] - x[j])
+                        dist(x[i], x[j])
                         for i in clusters[a]
                         for j in clusters[b]
                     ]

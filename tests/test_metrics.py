@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from neurodavis.metrics import (
     rank_average,
     spearman_rho,
 )
+from neurodavis.datasets import gen_synthetic
 from neurodavis.numerics import make_rng
 from oracles import (
     oracle_ari,
@@ -364,6 +366,17 @@ class TestAreaPreservation:
 
 
 class TestKnn:
+    def test_one_far_row_keeps_the_others_apart(self):
+        # row 0 at 1e170 put every other row's squared distance below the
+        # normal range at one table-wide scale, and k-NN read chance
+        ds = gen_synthetic("spiral", make_rng(7))
+        x = ds.x.copy()
+        x[0] = (1e170, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, _ = knn_evaluate(x, ds.labels, rng=make_rng(1))
+        assert round(acc, 3) == 0.873
+
     def test_separable_blobs_perfect(self):
         rng = make_rng(7)
         a = rng.standard_normal((40, 2)) * 0.3
@@ -553,6 +566,19 @@ class TestAgglomerative:
                 ref = hierarchy.cut_tree(tree, n_clusters=k)
                 assert first_seen(agglomerative(x, k)) == first_seen(ref), (seed, k)
 
+    def test_far_apart_scales_match_oracle_on_exact_distances(self):
+        # four rows near 0 at 2**-1000 and four near (2**1000, 0) spread at
+        # 2**990: at one table-wide scale the small rows' distances were all
+        # 0 and merged by index
+        rng = make_rng(14)
+        small = np.ldexp(rng.standard_normal((4, 2)), -1000)
+        large = np.ldexp(rng.standard_normal((4, 2)), 990) + [2.0**1000, 0.0]
+        x = np.vstack([small, large])[rng.permutation(8)]
+        for k in range(1, 9):
+            np.testing.assert_array_equal(
+                agglomerative(x, k), oracle_average_linkage(x, k, math.dist), err_msg=f"k={k}"
+            )
+
     def test_tie_after_merges_follows_computed_values(self):
         # In exact arithmetic the last merge ties (0, 2) with (0, 7), and the
         # smallest pair gives [0 0 0 0 0 0 0 1]. The running averages round
@@ -566,8 +592,6 @@ def test_scale_free_kernels_run_at_unit_scale(power):
     # unscaled, the squared distances of spiral * 2**531 overflow to inf (k-NN
     # reads chance, agglomerative merges along the diagonal, k-means++ draws
     # from NaN probabilities) and those of spiral * 2**-565 underflow to zero
-    from neurodavis.datasets import gen_synthetic
-
     ds = gen_synthetic("spiral", make_rng(7))
     scaled = np.ldexp(ds.x, power)
     with warnings.catch_warnings():

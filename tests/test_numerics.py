@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from neurodavis.numerics import (
     as_matrix,
     as_vector,
     dense_ids,
+    distances,
     make_rng,
     pair_distances,
     pairwise_euclidean,
@@ -270,6 +272,42 @@ class TestSqDistances:
         x = make_rng(5).standard_normal((30, 4))
         ii, jj, d = pairwise_euclidean(x)
         np.testing.assert_allclose(np.sqrt(sq_distances(x, x)[ii, jj]), d, rtol=1e-15)
+
+
+def far_apart_rows():
+    """Rows at 2**-1000, 2**0 and 2**1000, mixed: one power of two for the
+    whole table sends the small rows' squares below the normal range."""
+    rng = make_rng(12)
+    x = rng.standard_normal((9, 3))
+    return np.ldexp(x, np.repeat([-1000, 0, 1000], 3)[rng.permutation(9), None])
+
+
+class TestFarApartRows:
+    def test_pair_distances_match_math_dist(self):
+        # at one table-wide scale the 2**-1000 rows sit at 2**-2001 and
+        # every distance among them came out 0
+        x = far_apart_rows()
+        ii, jj, d = pairwise_euclidean(x)
+        for i, j, got in zip(ii, jj, d):
+            want = math.dist(x[i], x[j])
+            assert abs(got - want) <= 4 * math.ulp(want), (i, j)
+
+    def test_distances_match_math_dist_and_are_symmetric(self):
+        x = far_apart_rows()
+        got = distances(x, x)
+        assert got.tobytes() == got.T.tobytes()
+        for i, j in itertools.product(range(len(x)), repeat=2):
+            want = math.dist(x[i], x[j])
+            assert abs(got[i, j] - want) <= 4 * math.ulp(want), (i, j)
+
+    def test_in_range_bits_unchanged(self):
+        # only sums of squares below 2**-1022 are retaken: elsewhere the
+        # distances are the unit-scaled square roots, scaled back
+        x = make_rng(13).standard_normal((40, 3))
+        x[5] = x[4]  # a zero distance is retaken and stays 0
+        scaled, e = unit_scaled(x)
+        want = np.ldexp(np.sqrt(sq_distances(scaled, scaled[:30])), e)
+        assert distances(x, x[:30]).tobytes() == want.tobytes()
 
 
 class TestUnitScaled:
