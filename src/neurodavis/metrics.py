@@ -285,6 +285,12 @@ def agglomerative(x, k: int) -> np.ndarray:
     values: a tie that earlier merges create in exact arithmetic can go
     either way by rounding (see the README's "Statistics notes"). Distances
     come from ``numerics.distances``, which keeps small ones at any scale.
+
+    Each row caches its nearest column (the first one at its minimum), so a
+    merge rescans only row i and the rows whose cached column was i or j:
+    typically O(n^2) time in all, O(n^3) at worst, when most rows' nearest
+    cluster takes part in each merge (Muellner, arXiv:1109.2378, sec. 3).
+    The merges are those of a full-matrix argmin at every step.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
@@ -293,8 +299,14 @@ def agglomerative(x, k: int) -> np.ndarray:
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members
+    rows = np.arange(n)
+    near = dist.argmin(axis=1)  # first column at each row's minimum
+    near_dist = dist[rows, near]
     for _ in range(n - k):
-        i, j = divmod(int(np.argmin(dist)), n)  # first minimum: i < j
+        # the first row at the overall minimum, then its first column: the
+        # first minimum of the whole matrix in row-major order, so i < j
+        i = int(near_dist.argmin())
+        j = int(near[i])
         # average linkage via the Lance-Williams update; inf entries stay inf
         merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
         dist[i] = merged
@@ -303,6 +315,16 @@ def agglomerative(x, k: int) -> np.ndarray:
         dist[:, j] = np.inf
         sizes[i] += sizes[j]
         owner[owner == j] = i
+        # column i is now nearer, or as near and earlier, for some rows
+        closer = (merged < near_dist) | ((merged == near_dist) & (near > i))
+        near[closer] = i
+        near_dist[closer] = merged[closer]
+        # row i, and the rows whose nearest column was i and moved away or
+        # was j, rescan
+        stale = np.append(np.flatnonzero(((near == i) & ~closer) | (near == j)), i)
+        near[stale] = dist[stale].argmin(axis=1)
+        near_dist[stale] = dist[stale, near[stale]]
+        near[j], near_dist[j] = -1, np.inf  # dead: never nearer, never stale
     return dense_ids(owner)
 
 

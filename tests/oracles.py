@@ -1,12 +1,14 @@
 """Brute-force reference implementations the metric tests compare against:
 counting ranks, textbook Pearson, exact rank-sum enumeration, pair-by-pair
-agreement counts and direct average linkage. Each is written for clarity on
-inputs of a few dozen values, not for speed."""
+agreement counts, direct average linkage and the full-scan Lance-Williams
+loop. Each is written for clarity, not for speed."""
 
 import itertools
 import math
 
 import numpy as np
+
+from neurodavis.numerics import distances
 
 
 def oracle_ranks(a):
@@ -127,3 +129,25 @@ def oracle_average_linkage(x, k, dist=lambda p, q: np.linalg.norm(p - q)):
     for cid, members in enumerate(sorted(clusters, key=min)):
         labels[members] = cid
     return labels
+
+
+def oracle_full_scan_linkage(x, k):
+    """Average linkage by the Lance-Williams recurrence on
+    ``numerics.distances``, taking the first minimum of the whole matrix in
+    row-major order at every step (O(n^3)): the merges ``agglomerative``
+    must reproduce byte for byte, whatever it caches."""
+    dist = distances(x, x)
+    n = len(dist)
+    np.fill_diagonal(dist, np.inf)
+    sizes = np.ones(n, dtype=np.int64)
+    owner = np.arange(n)
+    for _ in range(n - k):
+        i, j = divmod(int(np.argmin(dist)), n)  # first minimum: i < j
+        merged = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        dist[i] = merged
+        dist[:, i] = merged
+        dist[j] = np.inf
+        dist[:, j] = np.inf
+        sizes[i] += sizes[j]
+        owner[owner == j] = i
+    return np.unique(owner, return_inverse=True)[1]

@@ -29,6 +29,7 @@ from neurodavis.numerics import make_rng
 from oracles import (
     oracle_ari,
     oracle_average_linkage,
+    oracle_full_scan_linkage,
     oracle_fmi,
     oracle_mwu_exact,
     oracle_pearson,
@@ -565,6 +566,24 @@ class TestAgglomerative:
             for k in sorted({1, 2, int(rng.integers(1, n + 1)), n}):
                 ref = hierarchy.cut_tree(tree, n_clusters=k)
                 assert first_seen(agglomerative(x, k)) == first_seen(ref), (seed, k)
+
+    @pytest.mark.parametrize("table", ["gaussian", "grid", "line", "rounded"])
+    def test_row_cache_merges_as_full_scan(self, table):
+        # integer coordinates tie many distances and linkage values exactly:
+        # every merge must take the first minimum of the whole matrix, as the
+        # full-scan loop does, whatever the per-row cache holds
+        for seed in range(6):
+            rng = make_rng(400 + seed)
+            n = int(rng.integers(2, 80))
+            x = {
+                "gaussian": lambda: rng.standard_normal((n, 2)),
+                "grid": lambda: rng.integers(0, 4, (n, 2)).astype(float),
+                "line": lambda: rng.integers(0, 3, (n, 1)).astype(float),
+                "rounded": lambda: np.round(rng.standard_normal((n, 3)), 1),
+            }[table]()
+            for k in sorted({1, 2, 3, max(n // 2, 1), n} & set(range(1, n + 1))):
+                got = agglomerative(x, k)
+                assert got.tobytes() == oracle_full_scan_linkage(x, k).tobytes(), (seed, k)
 
     def test_far_apart_scales_match_oracle_on_exact_distances(self):
         # four rows near 0 at 2**-1000 and four near (2**1000, 0) spread at
