@@ -20,6 +20,18 @@ of the current batch makes the per-batch objective touch exactly the
 parameters that batch can update (rows outside the batch get exactly zero
 gradient); with the whole dataset as a single batch the objective is the
 plain full-data one.
+
+Layout. ``theta`` stores each dense layer's w (fan_in, fan_out) directly
+before its b (fan_out,), so the slice from w's start to b's end, reshaped
+to (fan_in + 1, fan_out), is the stacked weight ``[w; b]``. The forward and
+backward passes work feature-major: one column per sample, in one block per
+batch size that holds the batch's latent rows, then each hidden layer's
+output, each part followed by a row of ones. A layer's input with its ones
+row below it, times ``[w; b]``, is ``h w + b`` in one product with no bias
+add; the same rows times the output gradient's transpose are ``[grad w;
+grad b]`` in one product, the bias sum included, written straight into the
+gradient vector. One square and one segment sum over the block give every
+layer's per-sample activity norms at once.
 """
 
 from __future__ import annotations
@@ -200,11 +212,22 @@ class Model:
         return Model(self.dims, *cast, t=self.t)
 
 
+def _stacked(model: Model, flat: np.ndarray) -> list[np.ndarray]:
+    """Each layer's ``[w; b]`` as one (fan_in + 1, fan_out) view into
+    ``flat``, a vector laid out like ``model.theta``: w is its first fan_in
+    rows, b its last row."""
+    out, stop = [], model.n * model.dims[1]
+    for fan_in, fan_out in zip(model.dims[1:], model.dims[2:]):
+        start, stop = stop, stop + (fan_in + 1) * fan_out
+        out.append(flat[start:stop].reshape(fan_in + 1, fan_out))
+    return out
+
+
 def _split_layers(model: Model, flat: np.ndarray):
     """(latent table, layers) as views into ``flat``, a vector laid out like
     ``model.theta``; the reconstruction layer is the last layer."""
-    table, *arrays = model.views(flat).values()
-    return table, [Layer(w, b) for w, b in zip(arrays[::2], arrays[1::2])]
+    table = flat[: model.n * model.dims[1]].reshape(model.n, model.dims[1])
+    return table, [Layer(wb[:-1], wb[-1]) for wb in _stacked(model, flat)]
 
 
 @dataclass
@@ -275,31 +298,70 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     return model
 
 
-def _forward(model: Model, idx: np.ndarray):
-    """(latent, hidden activations, recon) for already-validated indices.
+class _Block:
+    """Feature-major activations of one batch of ``m`` samples, one column
+    per sample, in one array ``a``: the batch's latent rows (k x m), then
+    each hidden layer's output, each part followed by a row of ones.
+    ``parts[p]`` views part p without its ones row, and ``inputs[li]``, part
+    li with it, is layer li's input for the stacked ``[w; b]``.
+
+    It also holds one step's scratch: ``sq`` (block-shaped: the squares,
+    then each entry's activity scale, then the activity subgradient, viewed
+    per part by ``units``), ``norms`` (one row per part and one per ones
+    row, from one segment sum at ``bounds``) and ``mask`` (the sign of every
+    hidden output, viewed per hidden layer by ``masks``). ``flat_norms`` and
+    ``flat_latent`` are 1-D views of ``norms`` and of the latent part."""
+
+    def __init__(self, fan_ins: Sequence[int], m: int, dtype):
+        # fan_ins: (latent_dim, *hidden widths), each layer's input width
+        ends = np.cumsum([f + 1 for f in fan_ins])  # one past each ones row
+        starts = [int(e) - f - 1 for e, f in zip(ends, fan_ins)]
+        self.a = np.empty((ends[-1], m), dtype)
+        self.a[ends - 1] = 1.0
+        self.parts = [self.a[s : s + f] for s, f in zip(starts, fan_ins)]
+        self.inputs = [self.a[s : s + f + 1] for s, f in zip(starts, fan_ins)]
+        # each part, then its ones row: the segments of the norms' reduceat
+        self.bounds = np.array([b for s, f in zip(starts, fan_ins) for b in (s, s + f)])
+        self.segment = np.repeat(  # the segment of every row
+            np.arange(2 * len(fan_ins)), [c for f in fan_ins for c in (f, 1)]
+        )
+        self.sq = np.empty_like(self.a)
+        self.units = [self.sq[s : s + f] for s, f in zip(starts, fan_ins)]
+        self.norms = np.empty((2 * len(fan_ins), m), dtype)
+        self.flat_norms, self.flat_latent = self.norms.ravel(), self.parts[0].ravel()
+        self.hidden = self.a[fan_ins[0] + 1 :]
+        self.mask = np.empty_like(self.hidden)
+        self.masks = [self.mask[s - fan_ins[0] - 1 :][:f] for s, f in zip(starts[1:], fan_ins[1:])]
+
+
+def _forward(blk: _Block, table: np.ndarray, idx: np.ndarray, stacked_t) -> np.ndarray:
+    """Fill ``blk`` with the latent rows ``table[idx]`` and every hidden
+    layer's ReLU output, and return the reconstruction, feature-major (d x
+    m). ``stacked_t`` holds each layer's ``[w; b].T``.
 
     Here and in :func:`gradients` every product is ``a.dot(b)``, the method
     form of ``np.dot``. It gives the bits of ``a @ b``: the same cblas
     routine on float64, the same plain loop on long double. It skips
     matmul's gufunc set-up, which costs more than the arithmetic at a batch
     of 64."""
-    latent = model.latent_table.take(idx, axis=0)
-    h, hidden_act = latent, []
-    last = len(model.layers) - 1
-    for li, (w, b) in enumerate(model.layers):
-        h = h.dot(w)
-        h += b
-        if li < last:  # a hidden layer
-            np.maximum(h, 0.0, out=h)
-            hidden_act.append(h)
-    return latent, hidden_act, h
+    # the indices are validated, so clip mode skips take's bounds pass; the
+    # rows land in the block's latent part through its transpose
+    table.take(idx, axis=0, out=blk.parts[0].T, mode="clip")
+    for wb_t, inp, out in zip(stacked_t, blk.inputs, blk.parts[1:]):
+        wb_t.dot(inp, out)
+        np.maximum(out, 0.0, out=out)
+    return stacked_t[-1].dot(blk.inputs[-1])
 
 
 def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
     """Forward pass for the given sample indices: table lookup at the latent
-    layer, affine + ReLU through hidden layers, affine (linear) output."""
+    layer, affine + ReLU through hidden layers, affine (linear) output. The
+    trace's arrays are (m, width) views of one feature-major block."""
     idx = as_indices(batch_indices, model.n, "batch_indices")
-    return ForwardTrace(*_forward(model, idx))
+    blk = _Block(model.dims[1:-1], len(idx), model.theta.dtype)
+    stacked_t = [wb.T for wb in _stacked(model, model.theta)]
+    recon = _forward(blk, model.latent_table, idx, stacked_t)
+    return ForwardTrace(blk.parts[0].T, [p.T for p in blk.parts[1:]], recon.T)
 
 
 def loss(
@@ -349,58 +411,72 @@ def _row_norms(h: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _scaled_unit_rows(hs: Sequence[np.ndarray], c: float) -> list[np.ndarray]:
-    """``c * h / ||h||`` row by row for each ``h`` in ``hs`` (arrays with
-    the same number of rows), each in a fresh array. The row norms of all of
-    them fill one (len(hs), rows) buffer, so one sqrt, one test and one
-    divide serve every array; each keeps its own multiply. Rows whose norm is
-    zero, underflows to zero or is NaN come out +0.0 (subgradient choice)."""
-    norms = np.empty((len(hs), len(hs[0])), hs[0].dtype)
-    for i, h in enumerate(hs):
-        np.vecdot(h, h, out=norms[i])
-    flat = norms.ravel()
-    np.sqrt(flat, out=flat)
+def _activity_units(blk: _Block, c: float) -> list[np.ndarray]:
+    """``c * h / ||h||`` for every sample (column) of every part ``h`` of
+    the block, the latent rows and each hidden output, as views of
+    ``blk.sq`` (``blk.units``).
+
+    One square and one segment sum over the whole block give every part's
+    squared norms, so one sqrt, one test, one divide, one scale gather and
+    one multiply serve all the parts. Each part sums only its own rows, so a
+    NaN in one layer reaches no other layer's scale. A norm that is zero,
+    underflows to zero or is NaN gives +0.0 throughout its part's column
+    (subgradient choice)."""
+    sq = np.multiply(blk.a, blk.a, out=blk.sq)
+    norms = np.add.reduceat(sq, blk.bounds, axis=0, out=blk.norms)
+    np.sqrt(norms, out=norms)
+    flat = blk.flat_norms
     # argmin returns the first NaN if there is one, so a NaN norm fails the
     # test as it fails min() > 0, at a quarter of min()'s cost
     if flat[flat.argmin()] > 0:
-        np.divide(c, flat, out=flat)
-        return [np.multiply(h, norms[i, :, None]) for i, h in enumerate(hs)]
-    live = norms > 0
-    scales = np.divide(c, norms, out=np.zeros_like(norms), where=live)
-    outs = [np.multiply(h, scales[i, :, None]) for i, h in enumerate(hs)]
-    for out, dead in zip(outs, ~live):
-        out[dead] = 0.0  # NaN rows stay NaN and -0.0 stays -0.0 through a zero scale
-    return outs
+        dead = None
+        np.divide(c, norms, out=norms)
+    else:
+        live = norms > 0
+        np.divide(c, norms, out=norms, where=live)
+        dead = ~live.take(blk.segment, axis=0)
+    norms.take(blk.segment, axis=0, out=sq, mode="clip")  # each entry's scale
+    np.multiply(blk.a, sq, out=sq)
+    if dead is not None:
+        sq[dead] = 0.0  # NaN and -0.0 alike become +0.0
+    return blk.units
 
 
 class _Workspace:
     """Buffers and views reused by the training steps of one :func:`fit`:
-    the flat gradient vector, the per-layer views a backward step uses, two
-    theta-sized scratch vectors for Adam, and the latent rows the last
+    the flat gradient vector, the per-layer views a backward step uses, one
+    :class:`_Block` per batch size (a fit sees at most two), two theta-sized
+    scratch vectors for Adam, and the latent rows the last
     :func:`gradients` call wrote.
 
-    ``layers`` holds, for each of ``model.layers``, (grad w, grad b, w, w.T,
-    w raveled): views into the gradient and into ``model.theta``, made once
-    so that no step rebuilds them.
+    ``stacked_t`` holds each layer's ``[w; b].T`` and ``layers``, for each
+    of ``model.layers``, (grad ``[w; b]``, grad w, w, w raveled): views into
+    the gradient and into ``model.theta``, made once so that no step
+    rebuilds them.
 
     ``records`` views the latent gradient block as one opaque record per
     row (``record`` bytes wide), so clearing and writing whole rows are 1-D
-    byte copies rather than 2-D fancy-index assignments.
+    byte copies rather than 2-D fancy-index assignments."""
 
-    ``ones`` is a vector of ones in the parameters' dtype, ``rows`` long
-    (``model.n`` by default, enough for any batch of distinct indices), whose
-    leading slice takes each bias gradient as one product."""
-
-    def __init__(self, model: Model, rows: int | None = None):
+    def __init__(self, model: Model):
         self.grad = np.zeros_like(model.theta)
-        self.latent, grads = _split_layers(model, self.grad)
-        self.layers = [(g.w, g.b, w, w.T, w.ravel()) for g, (w, _) in zip(grads, model.layers)]
+        self.latent, _ = _split_layers(model, self.grad)
+        self.stacked_t = [wb.T for wb in _stacked(model, model.theta)]
+        grads = _stacked(model, self.grad)
+        self.layers = [(g, g[:-1], w, w.ravel()) for g, (w, _) in zip(grads, model.layers)]
         self.record = np.dtype((np.void, self.latent[0].nbytes))
         self.records = self.latent.view(self.record).reshape(-1)
         self.zero_record = np.zeros((), self.record)
         self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
-        self.ones = np.ones(model.n if rows is None else rows, model.theta.dtype)
+        self.fan_ins = model.dims[1:-1]
+        self.blocks: dict[int, _Block] = {}
         self.rows: np.ndarray | None = None
+
+    def block(self, m: int) -> _Block:
+        blk = self.blocks.get(m)
+        if blk is None:
+            blk = self.blocks[m] = _Block(self.fan_ins, m, self.grad.dtype)
+        return blk
 
 
 def gradients(
@@ -425,13 +501,17 @@ def gradients(
         x_batch = as_matrix(x_batch, "x_batch")
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
-        _ws = _Workspace(model, len(idx))  # a repeated index may outnumber n
+        _ws = _Workspace(model)
     else:
         idx = batch_indices
-    latent, hidden_act, recon = _forward(model, idx)
+    blk = _ws.block(len(idx))
+    recon = _forward(blk, model.latent_table, idx, _ws.stacked_t)
     alpha, beta = config.alpha, config.beta
-    if alpha:  # every layer's activity subgradient, from one scale pass
-        unit = _scaled_unit_rows((latent, *hidden_act), alpha)
+    if alpha:  # every layer's activity subgradient, from one pass
+        units = _activity_units(blk, alpha)
+    if blk.masks:
+        # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h column is NaN
+        np.sign(blk.hidden, out=blk.mask)
     # Every other entry is overwritten below; only the latent rows of the
     # previous batch can be nonzero.
     if _ws.rows is not None:
@@ -439,39 +519,35 @@ def gradients(
     _ws.rows = idx
 
     # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
-    d_h = np.subtract(recon, x_batch, out=recon)
+    d_h = np.subtract(recon, x_batch.T, out=recon)
     d_h *= 2.0 / len(idx)
-    # each bias gradient, a batch sum, is one gemv: a quarter of np.add.reduce's cost
-    ones = _ws.ones[: len(idx)]
-    acts = (latent, *hidden_act)  # layer li reads acts[li]; a hidden one writes acts[li + 1]
     for li in reversed(range(len(model.layers))):
-        grad_w, grad_b, w, w_t, f = _ws.layers[li]
-        hidden = li < len(hidden_act)
+        grad_wb, grad_w, w, f = _ws.layers[li]
+        hidden = li < len(blk.masks)
         if hidden:
             if alpha:
-                d_h += unit[li + 1]
-            # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h row is NaN
-            np.multiply(d_h, np.sign(acts[li + 1]), out=d_h)
-        acts[li].T.dot(d_h, grad_w)
+                d_h += units[li + 1]
+            d_h *= blk.masks[li]
+        blk.inputs[li].dot(d_h.T, grad_wb)  # [grad w; grad b], the bias sum included
         if beta and hidden:
             fro = math.sqrt(f.dot(f))  # correctly rounded, as np.sqrt is
             if fro > 0:
                 grad_w += w * (beta / fro)
-        ones.dot(d_h, grad_b)
-        d_h = d_h.dot(w_t)
+        d_h = w.dot(d_h)
 
     if alpha:
-        d_h += unit[0]
+        d_h += units[0]
     if beta:
-        f = latent.ravel()
+        f = blk.flat_latent
         fro = math.sqrt(f.dot(f))
         if fro > 0:
+            latent = blk.parts[0]
             latent *= beta / fro  # last use of the gathered rows
             d_h += latent
     if fresh:
-        np.add.at(_ws.latent, idx, d_h)
+        np.add.at(_ws.latent, idx, d_h.T)
     else:  # one permutation's slice: distinct rows, one record each
-        _ws.records[idx] = d_h.view(_ws.record).ravel()  # d_h: fresh (m, k), C order
+        _ws.records[idx] = d_h.T.copy().view(_ws.record).ravel()
     return _ws.grad
 
 

@@ -1,7 +1,8 @@
-"""Brute-force reference implementations the metric tests compare against:
+"""Brute-force reference implementations the tests compare against:
 counting ranks, textbook Pearson, exact rank-sum enumeration, pair-by-pair
-agreement counts, direct average linkage and the full-scan Lance-Williams
-loop. Each is written for clarity, not for speed."""
+agreement counts, direct average linkage, the full-scan Lance-Williams loop
+and the training step's row-major gradient formulas. Each is written for
+clarity, not for speed."""
 
 import itertools
 import math
@@ -151,3 +152,49 @@ def oracle_full_scan_linkage(x, k):
         sizes[i] += sizes[j]
         owner[owner == j] = i
     return np.unique(owner, return_inverse=True)[1]
+
+
+def oracle_scaled_unit_rows(h, c):
+    """c * h / ||h|| per row, +0.0 where the norm is not positive."""
+    norms = np.sqrt(np.vecdot(h, h))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norms > 0, h * (c / norms), 0.0)
+
+
+def oracle_row_major_gradients(model, idx, x_batch, cfg):
+    """The training step's gradients by row-major formulas (one row per
+    sample, each bias added and summed on its own), one fresh array per
+    operation, for a batch of distinct indices."""
+    *hidden, recon_layer = model.layers
+    latent = model.latent_table[idx]
+    pre, act = [], [latent]
+    for layer in hidden:
+        pre.append(act[-1] @ layer.w + layer.b)
+        act.append(np.maximum(pre[-1], 0.0))
+    recon = act[-1] @ recon_layer.w + recon_layer.b
+    grads = np.zeros_like(model.theta)
+    views = model.views(grads)
+    d_out = (2.0 / len(idx)) * (recon - x_batch)
+    views["recon.w"][...] = act[-1].T @ d_out
+    views["recon.b"][...] = d_out.sum(axis=0)
+    d_h = d_out @ recon_layer.w.T
+    for li in reversed(range(len(hidden))):
+        layer = hidden[li]
+        if cfg.alpha:
+            d_h = d_h + oracle_scaled_unit_rows(act[li + 1], cfg.alpha)
+        d_a = d_h * (pre[li] > 0.0)
+        views[f"hidden{li}.w"][...] = act[li].T @ d_a
+        if cfg.beta:
+            fro = float(np.linalg.norm(layer.w))
+            if fro > 0:
+                views[f"hidden{li}.w"] += layer.w * (cfg.beta / fro)
+        views[f"hidden{li}.b"][...] = d_a.sum(axis=0)
+        d_h = d_a @ layer.w.T
+    if cfg.alpha:
+        d_h = d_h + oracle_scaled_unit_rows(latent, cfg.alpha)
+    if cfg.beta:
+        fro = float(np.linalg.norm(latent))
+        if fro > 0:
+            d_h = d_h + latent * (cfg.beta / fro)
+    views["latent_table"][idx] = d_h
+    return grads

@@ -3,13 +3,18 @@ the gradient oracle's worst relative error, the default config hash and the
 three ``evaluate_embedding`` digests.
 
 The values are bit-exact, so they hold only on the numpy and OpenBLAS build
-they were recorded on, with the OpenBLAS kernels of the same CPU core type
-(the AVX2-only ``Haswell`` kernels round differently from ``SkylakeX``), and
-only under one BLAS thread. One child interpreter computes all nine, with
-``OPENBLAS_NUM_THREADS=1`` set before numpy loads.
+they were recorded on, with the OpenBLAS kernels of one CPU core type, and
+only under one BLAS thread. The AVX2 ``Haswell`` kernels round differently
+from the AVX-512 ``SkylakeX`` ones, so the tables hold one set of values per
+core type. One child interpreter computes all nine, with
+``OPENBLAS_NUM_THREADS=1`` set before numpy loads: once with the kernels
+OpenBLAS picks for this CPU, if their core type is in the tables, and once
+more with ``OPENBLAS_CORETYPE=Haswell`` where the CPU runs AVX2 and FMA but
+OpenBLAS picks another core type (an AVX-512 or an AMD CPU).
 """
 
 import ctypes
+import inspect
 import json
 import os
 import platform
@@ -24,29 +29,59 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 NUMPY_VERSION = "2.4.6"
 OPENBLAS_VERSION = "0.3.31.188.0"
-OPENBLAS_CORE = "SkylakeX"
 
-# embedding hash per gate: sha256 prefix of embed(model).tobytes()
+# embedding hash per gate and core type: sha256 prefix of embed(model).tobytes()
 GATE_HASHES = {
-    "spiral": "d59a78ef6c62454f",
-    "world_map_lift9": "7167dc20c7486eda",
-    "olympic": "89d4d0e7072c5f31",
-    "elliptic_ring_lift9": "ad738e33ce4765d9",
+    "SkylakeX": {
+        "spiral": "aa7b4caed861b2cb",
+        "world_map_lift9": "02eb8b97ea7ee986",
+        "olympic": "d88577fc30e60ae9",
+        "elliptic_ring_lift9": "d6357bc395b9ed12",
+    },
+    "Haswell": {
+        "spiral": "e44f84097cc88a00",
+        "world_map_lift9": "e73302088ce9e34e",
+        "olympic": "096a804dd9873a72",
+        "elliptic_ring_lift9": "030f56c911725ef4",
+    },
 }
-GRADIENT_ORACLE = 2.4567802438287037e-07
+GRADIENT_ORACLE = {"SkylakeX": 2.4567802438287037e-07, "Haswell": 2.4567802438287037e-07}
 DEFAULT_CONFIG_HASH = "6d5cc7a6575e9653"
 # sha256 prefix of the sorted-key JSON of evaluate_embedding's values for
 # distance, centroid, knn and cluster on lift9(world_map), per training seed
 EVAL_DIGESTS = {
-    "eval21": "a73cfa980159adad",
-    "eval22": "34ea6637774b715c",
-    "eval23": "9f5ec9a9a81d561f",
+    "SkylakeX": {
+        "eval21": "a73cfa980159adad",
+        "eval22": "34ea6637774b715c",
+        "eval23": "9f5ec9a9a81d561f",
+    },
+    "Haswell": {
+        "eval21": "4bce09a94673d1d4",
+        "eval22": "9a590bab0f5bcea6",
+        "eval23": "b6e2fbb04367450c",
+    },
 }
 
+
+def _openblas_core() -> str | None:
+    """The core type whose kernels the OpenBLAS that numpy loaded runs on
+    this CPU. ``np.show_config`` names only the build's target, not this."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*"))
+    if not found:
+        return None
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 CHILD = """
-import hashlib, json
+import ctypes, hashlib, json
+from pathlib import Path
+import numpy as np
 import neurodavis as nd
 from neurodavis.numerics import make_rng
+""" + inspect.getsource(_openblas_core) + """
 
 def digest(data, seed, **settings):
     model, _ = nd.fit(data.x, nd.ModelConfig(seed=seed, **settings))
@@ -63,6 +98,7 @@ def eval_digest(data, seed):
 gen = lambda kind, seed: nd.gen_synthetic(kind, make_rng(seed))
 world = nd.lift9(gen("world_map", 4))
 print(json.dumps({
+    "core": _openblas_core(),
     "spiral": digest(gen("spiral", 0), 1, epochs=60, convergence=None),
     "world_map_lift9": digest(world, 3, epochs=15, convergence=None),
     "olympic": digest(gen("olympic", 4), 2),
@@ -77,47 +113,58 @@ print(json.dumps({
 """
 
 
-def _openblas_core() -> str | None:
-    """The core type whose kernels the OpenBLAS that numpy loaded runs on
-    this CPU. ``np.show_config`` names only the build's target, not this."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_*"))
-    if not found:
-        return None
-    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode()
-
 
 def _build_mismatch() -> str | None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     found = (
         f"numpy {np.__version__} with {blas.get('name')} {blas.get('version')} "
-        f"({_openblas_core()} kernels) on {platform.machine()}"
+        f"on {platform.machine()}"
     )
-    want = (
-        f"numpy {NUMPY_VERSION} with scipy-openblas {OPENBLAS_VERSION} "
-        f"({OPENBLAS_CORE} kernels) on x86_64"
-    )
+    want = f"numpy {NUMPY_VERSION} with scipy-openblas {OPENBLAS_VERSION} on x86_64"
     return None if found == want else f"values recorded on {want}, this is {found}"
+
+
+def _runs_avx2_and_fma() -> bool:
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+    flags = next((line for line in cpuinfo.splitlines() if line.startswith("flags")), "")
+    return {"avx2", "fma"} <= set(flags.partition(":")[2].split())
+
+
+def _core_runs(native: str | None) -> list[tuple[str, dict]]:
+    """(core type, extra environment) for each kernel family to check: the
+    one OpenBLAS picks for this CPU, if the tables hold it, and the Haswell
+    kernels forced, where the CPU runs them but OpenBLAS picks another."""
+    runs = [(native, {})] if native in GATE_HASHES else []
+    if native != "Haswell" and _runs_avx2_and_fma():
+        runs.append(("Haswell", {"OPENBLAS_CORETYPE": "Haswell"}))
+    return runs
 
 
 def test_gate_hashes_gradient_oracle_and_config_hash():
     mismatch = _build_mismatch()
     if mismatch:
         pytest.skip(mismatch)
+    native = _openblas_core()
+    runs = _core_runs(native)
+    if not runs:
+        pytest.skip(f"values recorded for {sorted(GATE_HASHES)} kernels, this CPU runs {native}")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout)
-    assert {k: got[k] for k in GATE_HASHES} == GATE_HASHES
-    assert got["oracle"] == GRADIENT_ORACLE
-    assert got["config_hash"] == DEFAULT_CONFIG_HASH
-    assert {k: got[k] for k in EVAL_DIGESTS} == EVAL_DIGESTS
+    for core, extra in runs:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path, **extra)
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert got["core"] == core
+        assert {k: got[k] for k in GATE_HASHES[core]} == GATE_HASHES[core], core
+        assert got["oracle"] == GRADIENT_ORACLE[core], core
+        assert got["config_hash"] == DEFAULT_CONFIG_HASH
+        assert {k: got[k] for k in EVAL_DIGESTS[core]} == EVAL_DIGESTS[core], core

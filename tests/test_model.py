@@ -14,8 +14,9 @@ from neurodavis.model import (
     Convergence,
     Model,
     ModelConfig,
+    _Block,
     _Workspace,
-    _scaled_unit_rows,
+    _activity_units,
     adam_step,
     embed,
     fit,
@@ -26,6 +27,7 @@ from neurodavis.model import (
     save_checkpoint,
 )
 from neurodavis.numerics import make_rng, spawn_rng
+from oracles import oracle_row_major_gradients, oracle_scaled_unit_rows
 
 
 def straight_line_forward(model, idx):
@@ -66,48 +68,53 @@ def zero_model(model):
     return model
 
 
-def reference_scaled_unit_rows(h, c):
-    """c * h / ||h|| per row, +0.0 where the norm is not positive."""
-    norms = np.sqrt(np.vecdot(h, h))[:, None]
+def reference_scaled_unit_columns(h_t, c):
+    """c * h / ||h|| per column of feature-major ``h_t``, +0.0 where the
+    norm is not positive; the squares are summed by one reduceat segment,
+    as the training block sums each of its parts."""
+    norms = np.sqrt(np.add.reduceat(h_t * h_t, [0], axis=0)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(norms > 0, h * (c / norms), 0.0)
+        return np.where(norms > 0, h_t * (c / norms), 0.0)
 
 
 def reference_gradients(model, idx, x_batch, cfg):
-    """The training step's gradient formulas written plainly, one fresh array
-    per operation, for a batch of distinct indices."""
-    *hidden, recon_layer = model.layers
-    latent = model.latent_table[idx]
-    pre, act = [], [latent]
-    for layer in hidden:
-        pre.append(act[-1] @ layer.w + layer.b)
-        act.append(np.maximum(pre[-1], 0.0))
-    recon = act[-1] @ recon_layer.w + recon_layer.b
+    """The training step's gradient formulas written plainly, feature-major
+    (one column per sample) with each bias folded into its layer's stacked
+    ``[w; b]`` against a row of ones, one fresh array per operation, for a
+    batch of distinct indices."""
+    ones = np.ones((1, len(idx)))
+    last = len(model.layers) - 1
+    act = [model.latent_table[idx].T.copy()]  # (k, m)
+    inputs = []
+    for li, (w, b) in enumerate(model.layers):
+        inputs.append(np.vstack((act[li], ones)))
+        out = np.vstack((w, b)).T @ inputs[li]
+        act.append(np.maximum(out, 0.0) if li < last else out)
     grads = np.zeros_like(model.theta)
     views = model.views(grads)
-    d_out = (2.0 / len(idx)) * (recon - x_batch)
-    views["recon.w"][...] = act[-1].T @ d_out
-    views["recon.b"][...] = np.ones(len(idx)) @ d_out
-    d_h = d_out @ recon_layer.w.T
-    for li in reversed(range(len(hidden))):
-        layer = hidden[li]
-        if cfg.alpha:
-            d_h = d_h + reference_scaled_unit_rows(act[li + 1], cfg.alpha)
-        d_a = d_h * (pre[li] > 0.0)
-        views[f"hidden{li}.w"][...] = act[li].T @ d_a
-        if cfg.beta:
-            fro = float(np.linalg.norm(layer.w))
+    names = [f"hidden{i}" for i in range(last)] + ["recon"]
+    d_h = (2.0 / len(idx)) * (act[-1] - x_batch.T)
+    for li in reversed(range(last + 1)):
+        w = model.layers[li].w
+        if li < last:  # a hidden layer
+            if cfg.alpha:
+                d_h = d_h + reference_scaled_unit_columns(act[li + 1], cfg.alpha)
+            d_h = d_h * (act[li + 1] > 0.0)
+        grad_wb = inputs[li] @ d_h.T
+        if cfg.beta and li < last:
+            fro = float(np.linalg.norm(w))
             if fro > 0:
-                views[f"hidden{li}.w"] += layer.w * (cfg.beta / fro)
-        views[f"hidden{li}.b"][...] = np.ones(len(idx)) @ d_a
-        d_h = d_a @ layer.w.T
+                grad_wb[:-1] = grad_wb[:-1] + w * (cfg.beta / fro)
+        views[f"{names[li]}.w"][...] = grad_wb[:-1]
+        views[f"{names[li]}.b"][...] = grad_wb[-1]
+        d_h = w @ d_h
     if cfg.alpha:
-        d_h = d_h + reference_scaled_unit_rows(latent, cfg.alpha)
+        d_h = d_h + reference_scaled_unit_columns(act[0], cfg.alpha)
     if cfg.beta:
-        fro = float(np.linalg.norm(latent))
+        fro = float(np.linalg.norm(act[0]))
         if fro > 0:
-            d_h = d_h + latent * (cfg.beta / fro)
-    views["latent_table"][idx] = d_h
+            d_h = d_h + act[0] * (cfg.beta / fro)
+    views["latent_table"][idx] = d_h.T
     return grads
 
 
@@ -232,6 +239,19 @@ class TestInitModel:
         assert model.theta[-2] == 7.0
         assert views["recon.b"][1] == 7.0
         assert np.array_equal(views["hidden0.w"], model.layers[0].w)
+
+    def test_each_layer_slice_stacks_w_over_b(self):
+        # theta stores every w directly before its b, so the slice from w's
+        # start to b's end is the stacked weight the training block multiplies
+        model = init_model(ModelConfig(latent_dim=3, hidden_widths=(4, 2)), n=5, d=6)
+        start = model.latent_table.size
+        for w, b in model.layers:
+            stop = start + w.size + b.size
+            wb = model.theta[start:stop].reshape(w.shape[0] + 1, w.shape[1])
+            assert wb.tobytes() == np.vstack((w, b)).tobytes()
+            assert np.shares_memory(wb, w) and np.shares_memory(wb, b)
+            start = stop
+        assert start == model.theta.size
 
     def test_deterministic(self):
         cfg = ModelConfig(seed=5, hidden_widths=(3,))
@@ -468,6 +488,15 @@ class TestGradients:
             assert (np.abs(a - f) / denom).max() < 1e-4, name
 
 
+def block_units(hs, c):
+    """``_activity_units`` on a training block whose parts hold the (m, f)
+    arrays ``hs``, feature-major; each part's result back as (m, f)."""
+    blk = _Block([h.shape[1] for h in hs], len(hs[0]), np.float64)
+    for part, h in zip(blk.parts, hs):
+        part[...] = h.T
+    return [u.T for u in _activity_units(blk, c)]
+
+
 class TestUnitRows:
     @pytest.mark.parametrize(
         "edge",
@@ -476,61 +505,76 @@ class TestUnitRows:
         ids=["zero", "negative-zero", "nan", "underflow", "negative-underflow"],
     )
     def test_edge_rows_stay_zero(self, edge):
-        # masked branch: one degenerate row among ordinary ones, no warning
+        # masked branch: one degenerate sample among ordinary ones, no warning
         h = make_rng(0).standard_normal((4, 3))
         h[2] = edge
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (out,) = _scaled_unit_rows((h,), 0.7)
+            (out,) = block_units((h,), 0.7)
         assert out[2].tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
-        assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+        assert out.tobytes() == reference_scaled_unit_columns(h.T, 0.7).T.tobytes()
 
     def test_positive_rows_divide_plainly(self):
-        # fast branch: every norm positive, including tiny rows that square
-        # to a normal number; one divide per row, one multiply per array
+        # fast branch: every norm positive, including tiny samples that square
+        # to a normal number; one divide per norm, one multiply for the block
         h = make_rng(1).standard_normal((6, 3))
         h[1] *= 1e-150
         h[4] = [0.0, -2.0, 0.0]
         g = np.abs(make_rng(2).standard_normal((6, 5)))
-        outs = _scaled_unit_rows((h, g), 0.7)
+        outs = block_units((h, g), 0.7)
         for a, out in zip((h, g), outs):
-            assert out.tobytes() == reference_scaled_unit_rows(a, 0.7).tobytes()
+            assert out.tobytes() == reference_scaled_unit_columns(a.T, 0.7).T.tobytes()
             np.testing.assert_allclose(np.linalg.norm(out, axis=1), 0.7)
-            assert not np.shares_memory(out, a)
+        np.testing.assert_allclose(outs[0], oracle_scaled_unit_rows(h, 0.7), rtol=1e-15)
 
     def test_dead_row_in_one_layer_leaves_the_others_plain(self):
-        # one ReLU-dead row in the middle layer sends the whole scale buffer
-        # down the masked branch; every layer still rounds as it alone would
+        # one ReLU-dead sample in the middle layer sends the whole block down
+        # the masked branch; every layer still rounds as it alone would
         rng = make_rng(3)
         hs = (rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 4))),
               np.abs(rng.standard_normal((5, 3))))
         hs[1][3] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs = _scaled_unit_rows(hs, 0.7)
+            outs = block_units(hs, 0.7)
         assert outs[1][3].tobytes() == np.zeros(4).tobytes()
         for h, out in zip(hs, outs):
-            assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+            assert out.tobytes() == reference_scaled_unit_columns(h.T, 0.7).T.tobytes()
         assert np.all(np.vecdot(outs[0], outs[0]) > 0)
         assert np.all(np.vecdot(outs[2], outs[2]) > 0)
+
+    def test_nan_in_one_layer_reaches_no_other(self):
+        # each part sums only its own rows: a NaN output in the last hidden
+        # layer zeroes that sample there and leaves its latent and first
+        # hidden columns scaled
+        rng = make_rng(5)
+        hs = (rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 4))),
+              np.abs(rng.standard_normal((5, 3))))
+        hs[2][1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = block_units(hs, 0.7)
+        assert outs[2][1].tobytes() == np.zeros(3).tobytes()
+        for out in outs[:2]:
+            np.testing.assert_allclose(np.linalg.norm(out, axis=1), 0.7)
 
     @pytest.mark.parametrize(
         "edge", [[np.nan, 1.0, 2.0], [0.0, 0.0, 0.0]], ids=["nan", "zero"]
     )
     def test_last_norm_alone_dead(self, edge):
-        # the one non-positive norm is the last entry of the scale buffer: a
-        # positivity test that reads row 0 only, or uses .all() (true for a
-        # NaN), takes the plain branch and divides by it
+        # the one non-positive norm is the last part's last sample: a
+        # positivity test that reads the first norm only, or uses .all()
+        # (true for a NaN), takes the plain branch and divides by it
         rng = make_rng(4)
         hs = (rng.standard_normal((5, 2)), np.abs(rng.standard_normal((5, 4))),
               np.abs(rng.standard_normal((5, 3))))
         hs[2][-1] = edge
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outs = _scaled_unit_rows(hs, 0.7)
+            outs = block_units(hs, 0.7)
         assert outs[2][-1].tobytes() == np.zeros(3).tobytes()
         for h, out in zip(hs, outs):
-            assert out.tobytes() == reference_scaled_unit_rows(h, 0.7).tobytes()
+            assert out.tobytes() == reference_scaled_unit_columns(h.T, 0.7).T.tobytes()
 
 
 class TestAdam:
@@ -673,6 +717,34 @@ class TestFit:
             reference_adam(model, reference_gradients(model, idx, x_batch, cfg), cfg)
 
         assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size)
+
+    @REPLAY_CASES
+    def test_step_matches_row_major_formulas(
+        self, latent_dim, widths, alpha, beta, batch_size
+    ):
+        # the feature-major step with folded biases rounds differently from
+        # the row-major formulas, but only in the last bits, at every step
+        # of a fit's batches: within 1e-12 of each parameter block's largest
+        # entry (an entry summed with cancellation keeps that absolute error)
+        x = make_rng(5).standard_normal((128, 3))
+        cfg = ModelConfig(
+            latent_dim=latent_dim, hidden_widths=widths, alpha=alpha, beta=beta,
+            batch_size=batch_size, epochs=2, seed=11, convergence=None,
+        )
+        model = init_model(cfg, *x.shape)
+        ws = _Workspace(model)
+        batch = cfg.resolved_batch_size(len(x))
+        shuffle_rng = spawn_rng(cfg.seed, 1)
+        for _ in range(cfg.epochs):
+            perm = shuffle_rng.permutation(len(x))
+            for s in range(0, len(x), batch):
+                idx = perm[s : s + batch]
+                want = oracle_row_major_gradients(model, idx, x[idx], cfg)
+                got = gradients(model, idx, x[idx], cfg, ws)
+                for name, w in model.views(want).items():
+                    g = model.views(got)[name]
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+                adam_step(model, got, cfg, ws)
 
     def test_step_allocation_does_not_grow_with_n(self):
         # one workspace step allocates batch-sized temporaries only
