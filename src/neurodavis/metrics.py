@@ -26,9 +26,9 @@ from .numerics import (
     as_paired,
     as_vector,
     dense_ids,
+    distances,
     pair_distances,
     pairwise_euclidean,
-    distances,
     sq_distances,
     unit_scaled,
 )
@@ -296,12 +296,13 @@ def agglomerative(x, k: int) -> np.ndarray:
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
     dist = distances(x, x)
+    # a Lance-Williams sum reaches n times the largest distance: keep it finite
+    np.ldexp(dist, -max(0, int(np.frexp(dist.max())[1]) + n.bit_length() - 1024), out=dist)
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members
-    rows = np.arange(n)
     near = dist.argmin(axis=1)  # first column at each row's minimum
-    near_dist = dist[rows, near]
+    near_dist = dist[np.arange(n), near]
     for _ in range(n - k):
         # the first row at the overall minimum, then its first column: the
         # first minimum of the whole matrix in row-major order, so i < j

@@ -255,15 +255,20 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at the unit scale of both tables together, rooted and scaled back, with
     each pair whose sum of squares falls below the normal range retaken by
     ``_own_scale_distances``. Every step is symmetric in ``a`` and ``b``, so
-    ``distances(x, x)`` is exactly symmetric. A distance beyond float64's
-    largest value (rows near 1e308) comes out inf."""
+    ``distances(x, x)`` is exactly symmetric.
+
+    If the largest distance is beyond float64's range (rows near 1e308),
+    every distance comes back times the one power of two that brings it
+    into range: exact for callers that only compare or average them."""
     a, b = as_matrix(a, "a"), as_matrix(b, "b")
     top = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     scale = int(np.frexp(top)[1])
-    sums = sq_distances(np.ldexp(a, -scale), np.ldexp(b, -scale))
-    out = np.ldexp(np.sqrt(sums), scale)
-    ii, jj = np.divmod(_below_normal(sums), max(len(b), 1))
-    out[ii, jj] = _own_scale_distances(a, b, ii, jj)
+    out = sq_distances(np.ldexp(a, -scale), np.ldexp(b, -scale))
+    ii, jj = np.divmod(_below_normal(out), max(len(b), 1))
+    np.sqrt(out, out=out)
+    shift = max(0, scale + int(np.frexp(out.max(initial=0.0))[1]) - 1024)
+    np.ldexp(out, scale - shift, out=out)
+    out[ii, jj] = np.ldexp(_own_scale_distances(a, b, ii, jj), -shift)
     return out
 
 

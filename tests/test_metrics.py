@@ -606,11 +606,13 @@ class TestAgglomerative:
         np.testing.assert_array_equal(agglomerative(x, 2), [0, 0, 1, 0, 1, 1, 0, 0])
 
 
-@pytest.mark.parametrize("power", [531, -565])
+@pytest.mark.parametrize("power", [531, -565, 1021])
 def test_scale_free_kernels_run_at_unit_scale(power):
     # unscaled, the squared distances of spiral * 2**531 overflow to inf (k-NN
     # reads chance, agglomerative merges along the diagonal, k-means++ draws
-    # from NaN probabilities) and those of spiral * 2**-565 underflow to zero
+    # from NaN probabilities) and those of spiral * 2**-565 underflow to zero;
+    # at 2**1021 the largest distances and the Lance-Williams sums of
+    # distances would pass float64's range
     ds = gen_synthetic("spiral", make_rng(7))
     scaled = np.ldexp(ds.x, power)
     with warnings.catch_warnings():
