@@ -30,8 +30,8 @@ output, each part followed by a row of ones. A layer's input with its ones
 row below it, times ``[w; b]``, is ``h w + b`` in one product with no bias
 add; the same rows times the output gradient's transpose are ``[grad w;
 grad b]`` in one product, the bias sum included, written straight into the
-gradient vector. One square and one segment sum over the block give every
-layer's per-sample activity norms at once.
+gradient vector. One square over the block, then one ones-vector product
+per part, give every layer's per-sample activity norms.
 """
 
 from __future__ import annotations
@@ -307,10 +307,12 @@ class _Block:
 
     It also holds one step's scratch: ``sq`` (block-shaped: the squares,
     then each entry's activity scale, then the activity subgradient, viewed
-    per part by ``units``), ``norms`` (one row per part and one per ones
-    row, from one segment sum at ``bounds``) and ``mask`` (the sign of every
-    hidden output, viewed per hidden layer by ``masks``). ``flat_norms`` and
-    ``flat_latent`` are 1-D views of ``norms`` and of the latent part."""
+    per part by ``units``), ``norms`` (one row per part; ``sums`` pairs each
+    row with a ones vector and the part's squares), ``part_of_row`` (the
+    part of every block row, ones rows included) and ``mask`` (the sign of
+    every hidden output, viewed per hidden layer by ``masks``).
+    ``flat_norms`` and ``flat_latent`` are 1-D views of ``norms`` and of the
+    latent part."""
 
     def __init__(self, fan_ins: Sequence[int], m: int, dtype):
         # fan_ins: (latent_dim, *hidden widths), each layer's input width
@@ -320,14 +322,13 @@ class _Block:
         self.a[ends - 1] = 1.0
         self.parts = [self.a[s : s + f] for s, f in zip(starts, fan_ins)]
         self.inputs = [self.a[s : s + f + 1] for s, f in zip(starts, fan_ins)]
-        # each part, then its ones row: the segments of the norms' reduceat
-        self.bounds = np.array([b for s, f in zip(starts, fan_ins) for b in (s, s + f)])
-        self.segment = np.repeat(  # the segment of every row
-            np.arange(2 * len(fan_ins)), [c for f in fan_ins for c in (f, 1)]
-        )
         self.sq = np.empty_like(self.a)
         self.units = [self.sq[s : s + f] for s, f in zip(starts, fan_ins)]
-        self.norms = np.empty((2 * len(fan_ins), m), dtype)
+        self.norms = np.empty((len(fan_ins), m), dtype)
+        ones = np.ones(max(fan_ins), dtype)
+        # (ones, squares, norms) per part: one gemv sums the part's squares
+        self.sums = [(ones[:f], sq, n) for f, sq, n in zip(fan_ins, self.units, self.norms)]
+        self.part_of_row = np.repeat(np.arange(len(fan_ins)), [f + 1 for f in fan_ins])
         self.flat_norms, self.flat_latent = self.norms.ravel(), self.parts[0].ravel()
         self.hidden = self.a[fan_ins[0] + 1 :]
         self.mask = np.empty_like(self.hidden)
@@ -416,15 +417,18 @@ def _activity_units(blk: _Block, c: float) -> list[np.ndarray]:
     the block, the latent rows and each hidden output, as views of
     ``blk.sq`` (``blk.units``).
 
-    One square and one segment sum over the whole block give every part's
-    squared norms, so one sqrt, one test, one divide, one scale gather and
-    one multiply serve all the parts. Each part sums only its own rows, so a
+    One square over the whole block, then one gemv of a ones vector with
+    each part's squares, give every part's squared norms (a ``reduceat``
+    over the block's segments costs more than all the gemvs at a batch of
+    64); then one sqrt, one test, one divide, one scale gather and one
+    multiply serve all the parts. Each part sums only its own rows, so a
     NaN in one layer reaches no other layer's scale. A norm that is zero,
     underflows to zero or is NaN gives +0.0 throughout its part's column
     (subgradient choice)."""
     sq = np.multiply(blk.a, blk.a, out=blk.sq)
-    norms = np.add.reduceat(sq, blk.bounds, axis=0, out=blk.norms)
-    np.sqrt(norms, out=norms)
+    for ones, part, norms in blk.sums:
+        ones.dot(part, norms)
+    norms = np.sqrt(blk.norms, out=blk.norms)
     flat = blk.flat_norms
     # argmin returns the first NaN if there is one, so a NaN norm fails the
     # test as it fails min() > 0, at a quarter of min()'s cost
@@ -434,8 +438,8 @@ def _activity_units(blk: _Block, c: float) -> list[np.ndarray]:
     else:
         live = norms > 0
         np.divide(c, norms, out=norms, where=live)
-        dead = ~live.take(blk.segment, axis=0)
-    norms.take(blk.segment, axis=0, out=sq, mode="clip")  # each entry's scale
+        dead = ~live.take(blk.part_of_row, axis=0)
+    norms.take(blk.part_of_row, axis=0, out=sq, mode="clip")  # each entry's scale
     np.multiply(blk.a, sq, out=sq)
     if dead is not None:
         sq[dead] = 0.0  # NaN and -0.0 alike become +0.0

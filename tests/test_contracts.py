@@ -35,13 +35,13 @@ GATE_HASHES = {
     "SkylakeX": {
         "spiral": "aa7b4caed861b2cb",
         "world_map_lift9": "02eb8b97ea7ee986",
-        "olympic": "d88577fc30e60ae9",
+        "olympic": "9b0b6d72c1206616",
         "elliptic_ring_lift9": "d6357bc395b9ed12",
     },
     "Haswell": {
         "spiral": "e44f84097cc88a00",
         "world_map_lift9": "e73302088ce9e34e",
-        "olympic": "096a804dd9873a72",
+        "olympic": "0ce9d06d2e073f1c",
         "elliptic_ring_lift9": "030f56c911725ef4",
     },
 }

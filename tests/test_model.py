@@ -70,9 +70,10 @@ def zero_model(model):
 
 def reference_scaled_unit_columns(h_t, c):
     """c * h / ||h|| per column of feature-major ``h_t``, +0.0 where the
-    norm is not positive; the squares are summed by one reduceat segment,
-    as the training block sums each of its parts."""
-    norms = np.sqrt(np.add.reduceat(h_t * h_t, [0], axis=0)[0])
+    norm is not positive; the squares are summed by a ones vector's
+    product, as the training block sums each of its (C-ordered) parts."""
+    h_t = np.ascontiguousarray(h_t)
+    norms = np.sqrt(np.ones(len(h_t)) @ (h_t * h_t))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(norms > 0, h_t * (c / norms), 0.0)
 
