@@ -162,9 +162,10 @@ def oracle_scaled_unit_rows(h, c):
 
 
 def oracle_row_major_gradients(model, idx, x_batch, cfg):
-    """The training step's gradients by row-major formulas (one row per
-    sample, each bias added and summed on its own), one fresh array per
-    operation, for a batch of distinct indices."""
+    """The training step's gradients by the row-major formulas it used
+    before its feature-major block (one row per sample, each bias added on
+    its own and its gradient summed by a ones-vector product), one fresh
+    array per operation, for a batch of distinct indices."""
     *hidden, recon_layer = model.layers
     latent = model.latent_table[idx]
     pre, act = [], [latent]
@@ -176,7 +177,7 @@ def oracle_row_major_gradients(model, idx, x_batch, cfg):
     views = model.views(grads)
     d_out = (2.0 / len(idx)) * (recon - x_batch)
     views["recon.w"][...] = act[-1].T @ d_out
-    views["recon.b"][...] = d_out.sum(axis=0)
+    views["recon.b"][...] = np.ones(len(idx)) @ d_out
     d_h = d_out @ recon_layer.w.T
     for li in reversed(range(len(hidden))):
         layer = hidden[li]
@@ -188,7 +189,7 @@ def oracle_row_major_gradients(model, idx, x_batch, cfg):
             fro = float(np.linalg.norm(layer.w))
             if fro > 0:
                 views[f"hidden{li}.w"] += layer.w * (cfg.beta / fro)
-        views[f"hidden{li}.b"][...] = d_a.sum(axis=0)
+        views[f"hidden{li}.b"][...] = np.ones(len(idx)) @ d_a
         d_h = d_a @ layer.w.T
     if cfg.alpha:
         d_h = d_h + oracle_scaled_unit_rows(latent, cfg.alpha)

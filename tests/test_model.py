@@ -495,7 +495,9 @@ def block_units(hs, c):
     blk = _Block([h.shape[1] for h in hs], len(hs[0]), np.float64)
     for part, h in zip(blk.parts, hs):
         part[...] = h.T
-    return [u.T for u in _activity_units(blk, c)]
+    units = _activity_units(blk, c)
+    assert not any(np.shares_memory(u, blk.a) for u in units)  # the block stays as it was
+    return [u.T for u in units]
 
 
 class TestUnitRows:
