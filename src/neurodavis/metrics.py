@@ -295,9 +295,8 @@ def agglomerative(x, k: int) -> np.ndarray:
     x = as_matrix(x, "x")
     n = x.shape[0]
     k = as_count(k, "k", 1, n)
+    # a Lance-Williams sum is within the matrix total, which stays finite
     dist = distances(x, x)
-    # a Lance-Williams sum reaches n times the largest distance: keep it finite
-    np.ldexp(dist, -max(0, int(np.frexp(dist.max())[1]) + n.bit_length() - 1024), out=dist)
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     owner = np.arange(n)  # cluster root of each point; roots are min members

@@ -157,17 +157,6 @@ class Layer(NamedTuple):
     b: np.ndarray  # (fan_out,)
 
 
-def _shapes(dims: tuple[int, ...]):
-    """(name, shape) of every parameter, in storage order, for a model with
-    ``dims`` = (n, latent_dim, *hidden widths, d)."""
-    n, *chain = dims
-    yield "latent_table", (n, chain[0])
-    names = [f"hidden{i}" for i in range(len(chain) - 2)] + ["recon"]
-    for name, fan_in, fan_out in zip(names, chain, chain[1:]):
-        yield f"{name}.w", (fan_in, fan_out)
-        yield f"{name}.b", (fan_out,)
-
-
 @dataclass
 class Model:
     """Trainable state. All parameters live in one flat vector ``theta``;
@@ -199,11 +188,11 @@ class Model:
         """Named views into ``flat`` (a vector laid out like ``theta``):
         ``latent_table``, ``hidden{i}.w``, ``hidden{i}.b``, ``recon.w``,
         ``recon.b``, each row-major, in this order."""
-        out, start = {}, 0
-        for name, shape in _shapes(self.dims):
-            stop = start + math.prod(shape)
-            out[name] = flat[start:stop].reshape(shape)
-            start = stop
+        table, layers = _split_layers(self, flat)
+        out = {"latent_table": table}
+        for i, (w, b) in enumerate(layers):
+            name = "recon" if i == len(layers) - 1 else f"hidden{i}"
+            out[f"{name}.w"], out[f"{name}.b"] = w, b
         return out
 
     def astype(self, dtype) -> "Model":
@@ -287,7 +276,7 @@ def init_model(config: ModelConfig, n: int, d: int) -> Model:
     """
     n, d = as_count(n, "n", 1), as_count(d, "d", 1)
     dims = (n, config.latent_dim, *config.resolved_hidden(d), d)
-    size = sum(math.prod(shape) for _, shape in _shapes(dims))
+    size = n * dims[1] + sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[1:], dims[2:]))
     model = Model(dims, np.zeros(size), np.zeros(size), np.zeros(size))
     rng = make_rng(config.seed)
     model.latent_table[...] = rng.uniform(-0.01, 0.01, model.latent_table.shape)

@@ -5,8 +5,11 @@ One distance kernel per job, each working in blocks of at most
 ``pair_distances`` for listed row pairs, ``distances`` for every row of one
 set against every row of another, and ``sq_distances`` for the squares
 k-means compares. The first two take their sums of squares at unit scale
-(``unit_scaled``) and retake, from the unscaled rows, each pair whose sum
-fell below the normal range; ``sq_distances`` does not scale.
+(``unit_scaled``) and end in ``_rooted``, which retakes each pair whose sum
+fell below the normal range from the unscaled rows. When the summed
+distances would pass float64's range, a call's distances come back times
+one power of two: exact for callers that compare, sum or average them. No
+other module picks a power of two; ``sq_distances`` does not scale.
 
 Everything operates on 2-D float64 arrays (row-major). Public operations
 validate that inputs are finite and reject degenerate shapes, so the rest of
@@ -195,11 +198,16 @@ def _decode_pairs(linear: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return ii, jj
 
 
+def _exponent(*tables) -> int:
+    """``e`` with max |value| of ``tables`` in [2**(e-1), 2**e); 0 if all 0."""
+    return int(np.frexp(max(np.abs(t).max(initial=0.0) for t in tables))[1])
+
+
 def unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
     """``(x * 2**-e, e)`` for the integer ``e`` that brings max |x| into
     [0.5, 1) (0 for an all-zero ``x``), so squares can neither overflow nor
     underflow. Exact while no value leaves the normal range."""
-    e = int(np.frexp(np.abs(x).max(initial=0.0))[1])
+    e = _exponent(x)
     return np.ldexp(x, -e), e
 
 
@@ -218,20 +226,31 @@ def _own_scale_distances(a: np.ndarray, b: np.ndarray, ii, jj) -> np.ndarray:
     return out
 
 
-def _below_normal(sums: np.ndarray) -> np.ndarray:
-    """Flat indices of the sums of squares below 2**-1022: where the
-    unit-scaled rows lost precision or underflowed to zero."""
-    return np.flatnonzero(sums < np.finfo(np.float64).tiny)
+def _rooted(sums: np.ndarray, scale: int, retake) -> np.ndarray:
+    """Distances from their unit-scale sums of squares ``sums`` (written
+    over): the roots times 2**(``scale`` - s), s >= 0 the least that keeps
+    their count times their largest, each taken up to the next power of two
+    above it, at most 2**1024, so their sum is finite. A sum below 2**-1022
+    lost precision; its flat index ``p`` is retaken by
+    ``_own_scale_distances(*retake(p))``."""
+    small = np.flatnonzero(sums < np.finfo(np.float64).tiny)
+    out = np.sqrt(sums, out=sums)
+    shift = max(0, scale + _exponent(out.max(initial=0.0)) + out.size.bit_length() - 1024)
+    np.ldexp(out, scale - shift, out=out)
+    out.flat[small] = np.ldexp(_own_scale_distances(*retake(small)), -shift)
+    return out
 
 
 def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     """Euclidean distances between rows ``x[ii]`` and ``x[jj]``, chunked;
     ``ii`` and ``jj`` are equal-length row indices (``as_indices``).
 
-    Taken at unit scale (``unit_scaled``) and scaled back, so squared
-    differences cannot overflow. A pair whose sum of squares falls below the
-    normal range there is retaken by ``_own_scale_distances``, so a table
-    spanning 2**+-1000 keeps its small distances."""
+    Taken at unit scale (``unit_scaled``), so squares cannot overflow; a
+    pair whose sum of squares is below the normal range there is retaken at
+    its own scale, so a table spanning 2**+-1000 keeps its small distances.
+    When their sum would pass float64's range (rows near 1e308), the
+    distances come back times one power of two: exact for callers that
+    compare, sum or average them."""
     raw = as_matrix(x, "x")
     n = raw.shape[0]
     ii, jj = as_indices(ii, n, "ii"), as_indices(jj, n, "jj")
@@ -244,32 +263,21 @@ def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
         e = min(s + step, len(ii))
         diff = x[ii[s:e]] - x[jj[s:e]]
         sums[s:e] = np.einsum("ij,ij->i", diff, diff)
-    out = np.ldexp(np.sqrt(sums), scale)
-    small = _below_normal(sums)
-    out[small] = _own_scale_distances(raw, raw, ii[small], jj[small])
-    return out
+    return _rooted(sums, scale, lambda p: (raw, raw, ii[p], jj[p]))
 
 
 def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances, rows of ``a`` by rows of ``b``: ``sq_distances``
-    at the unit scale of both tables together, rooted and scaled back, with
-    each pair whose sum of squares falls below the normal range retaken by
-    ``_own_scale_distances``. Every step is symmetric in ``a`` and ``b``, so
-    ``distances(x, x)`` is exactly symmetric.
-
-    If the largest distance is beyond float64's range (rows near 1e308),
-    every distance comes back times the one power of two that brings it
-    into range: exact for callers that only compare or average them."""
+    at the unit scale of both tables together, finished as in
+    ``pair_distances``, with its beyond-range rule: when their sum would
+    pass float64's range, the distances come back times one power of two,
+    exact for callers that compare, sum or average them. Every step is
+    symmetric in ``a`` and ``b``, so ``distances(x, x)`` is exactly
+    symmetric."""
     a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    top = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
-    scale = int(np.frexp(top)[1])
-    out = sq_distances(np.ldexp(a, -scale), np.ldexp(b, -scale))
-    ii, jj = np.divmod(_below_normal(out), max(len(b), 1))
-    np.sqrt(out, out=out)
-    shift = max(0, scale + int(np.frexp(out.max(initial=0.0))[1]) - 1024)
-    np.ldexp(out, scale - shift, out=out)
-    out[ii, jj] = np.ldexp(_own_scale_distances(a, b, ii, jj), -shift)
-    return out
+    scale = _exponent(a, b)
+    sums = sq_distances(np.ldexp(a, -scale), np.ldexp(b, -scale))
+    return _rooted(sums, scale, lambda p: (a, b, *np.divmod(p, len(b))))
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,6 +314,9 @@ def pairwise_euclidean(
     ``rng``. numpy draws a budget up to total/50 by Floyd's algorithm in
     O(budget) memory; a larger one by a partial shuffle that holds all
     ``total`` ranks (8 bytes each), no more than the all-pairs call needs.
+    When their sum would pass float64's range, the distances come back times
+    one power of two (``pair_distances``): exact for callers that compare,
+    sum or average them.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]

@@ -1,7 +1,8 @@
 """One distance kernel per job: only ``numerics.py`` subtracts two row sets
 broadcast against each other (``a[:, None, :] - b[None, :, :]``, or the same
 through ``np.subtract``). Every other module reads its distances from
-``numerics``."""
+``numerics``. One scaling rule: only ``numerics.py`` picks a power of two
+(calls ``frexp`` or ``ldexp``)."""
 
 import ast
 from pathlib import Path
@@ -64,3 +65,31 @@ def test_only_numerics_builds_row_set_differences():
     kernel = found.pop("numerics.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert kernel, "the numerics kernel is no longer recognised"
+
+
+def power_of_two_calls(source: str) -> list[int]:
+    """Line numbers of calls to ``frexp`` or ``ldexp``, as ``np.ldexp(...)``
+    or a bare imported ``ldexp(...)``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("frexp", "ldexp")
+    ]
+
+
+def test_power_of_two_detector():
+    assert power_of_two_calls("y = np.ldexp(x, -e)") == [1]
+    assert power_of_two_calls("m, e = numpy.frexp(x)") == [1]
+    assert power_of_two_calls("np.ldexp(d, s, out=d)\ny = ldexp(x, 2)") == [1, 2]
+    assert power_of_two_calls("y = np.exp(x)\nz = x * 2.0**-e\nf = np.ldexp") == []
+
+
+def test_only_numerics_picks_a_power_of_two():
+    found = {
+        path.name: power_of_two_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    kernel = found.pop("numerics.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert kernel, "the numerics scaling is no longer recognised"

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from neurodavis import numerics
+from neurodavis.datasets import gen_synthetic
 from neurodavis.errors import InvalidInputError
+from neurodavis.metrics import distance_preservation
 from neurodavis.numerics import (
     as_labeling,
     as_matrix,
@@ -308,6 +310,38 @@ class TestFarApartRows:
         scaled, e = unit_scaled(x)
         want = np.ldexp(np.sqrt(sq_distances(scaled, scaled[:30])), e)
         assert distances(x, x[:30]).tobytes() == want.tobytes()
+
+
+class TestBeyondRange:
+    """When the summed distances would pass float64's range, both kernels
+    return every distance times one power of two."""
+
+    def test_pairs_beyond_range_come_back_finite(self):
+        # the true distances are 3e308, 1.5e308 and 1.5e308; scaled back to
+        # true scale the first overflowed in ldexp
+        x = [[1.5e308, 0.0], [-1.5e308, 0.0], [0.0, 1.0]]
+        with np.errstate(all="raise"):
+            _, _, d = pairwise_euclidean(x)
+            assert np.isfinite(d.sum())
+        eighth = np.ldexp(1.5e308, -3)
+        assert d.tolist() == [2 * eighth, eighth, eighth] == [3.75e307, 1.875e307, 1.875e307]
+
+    def test_pair_distances_scale_by_one_power_of_two(self):
+        x = gen_synthetic("spiral", make_rng(0)).x
+        far = np.ldexp(x, 1022)
+        ii, jj, want = pairwise_euclidean(x)
+        with np.errstate(all="raise"):
+            got = pair_distances(far, ii, jj)
+            assert np.isfinite(got.sum())
+        power = int(np.frexp(got.max() / want.max())[1]) - 1
+        assert power < 1022
+        assert got.tobytes() == np.ldexp(want, power).tobytes()
+        assert distance_preservation(far, x) == 1.0
+
+    def test_distances_sum_is_finite(self):
+        x = np.ldexp(gen_synthetic("spiral", make_rng(0)).x, 1021)
+        with np.errstate(all="raise"):
+            assert np.isfinite(distances(x, x).sum())
 
 
 class TestUnitScaled:

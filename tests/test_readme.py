@@ -1,5 +1,6 @@
 """Every ``python`` code block of the README runs as written: each one in a
-fresh interpreter with ``src`` on the path, and each exits 0."""
+fresh interpreter with ``src`` on the path, under the tests' warning rule
+(a RuntimeWarning or DeprecationWarning is an error), and each exits 0."""
 
 import os
 import re
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
@@ -22,7 +24,8 @@ def test_readme_has_python_blocks():
 def test_python_block_runs(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, *WARNINGS_AS_ERRORS, "-c", code],
+        cwd=ROOT, env=env, capture_output=True, text=True,
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
