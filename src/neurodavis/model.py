@@ -32,6 +32,17 @@ add; the same rows times the output gradient's transpose are ``[grad w;
 grad b]`` in one product, the bias sum included, written straight into the
 gradient vector. One square over the block, then one ones-vector product
 per part, give every layer's per-sample activity norms.
+
+Adam state. ``model.m`` and ``model.v`` hold Adam's moments divided by
+beta1^tau and beta2^tau, tau = ((t - 1) mod ``ADAM_RESCALE``) + 1, so the
+true first moment is beta1^tau * ``model.m``. A step adds the new gradient's
+share, scaled by 1 / beta^tau, and leaves the decay in the scalars; an entry
+with zero gradient is not touched. Once every ``ADAM_RESCALE`` steps one
+dense fold multiplies the moments by beta1^R and beta2^R (the scaled-vector
+trick of Bottou, "Stochastic Gradient Descent Tricks", 2012, sec. 5.1).
+Inside :func:`fit` the latent rows of ``theta``, the moments and a cache of
+sqrt(``model.v``) sit in the current epoch's shuffle order, so each batch
+is one row slice; ``fit`` returns them in sample order.
 """
 
 from __future__ import annotations
@@ -73,6 +84,15 @@ CHECKPOINT_VERSION = 4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Steps between the dense folds of the moments' decay (see adam_step);
+# 0.9^64 is about 1e-3, far from float64's range.
+ADAM_RESCALE = 64
+# (1 - beta1) / beta1^tau and (1 - beta2) / beta2^tau for tau = 1 .. R, as
+# 0-d arrays: numpy multiplies an array by one faster than by a float
+_ADAM_GAINS = [
+    (np.array((1.0 - ADAM_BETA1) / ADAM_BETA1**tau), np.array((1.0 - ADAM_BETA2) / ADAM_BETA2**tau))
+    for tau in range(1, ADAM_RESCALE + 1)
+]
 
 
 @dataclass(frozen=True)
@@ -161,6 +181,8 @@ class Layer(NamedTuple):
 class Model:
     """Trainable state. All parameters live in one flat vector ``theta``;
     Adam's moments ``m`` and ``v`` share its layout and ``t`` counts steps.
+    ``m`` and ``v`` hold the moments divided by beta1^tau and beta2^tau,
+    tau = ((t - 1) mod ``ADAM_RESCALE``) + 1 (see :func:`adam_step`).
     ``latent_table`` and ``layers`` (the hidden layers in order, then the
     reconstruction layer) are reshaped views into ``theta``, so writing
     through them updates it."""
@@ -319,13 +341,14 @@ class _Block:
         self.sums = [(ones[:f], sq, n) for f, sq, n in zip(fan_ins, self.units, self.norms)]
         self.part_of_row = np.repeat(np.arange(len(fan_ins)), [f + 1 for f in fan_ins])
         self.flat_norms, self.flat_latent = self.norms.ravel(), self.parts[0].ravel()
+        self.latent_rows = self.parts[0].T  # (m, k): the batch's latent rows
         self.hidden = self.a[fan_ins[0] + 1 :]
         self.mask = np.empty_like(self.hidden)
         self.masks = [self.mask[s - fan_ins[0] - 1 :][:f] for s, f in zip(starts[1:], fan_ins[1:])]
 
 
-def _forward(blk: _Block, table: np.ndarray, idx: np.ndarray, stacked_t) -> np.ndarray:
-    """Fill ``blk`` with the latent rows ``table[idx]`` and every hidden
+def _forward(blk: _Block, rows: np.ndarray, stacked_t) -> np.ndarray:
+    """Fill ``blk`` with the latent rows ``rows`` (m, k) and every hidden
     layer's ReLU output, and return the reconstruction, feature-major (d x
     m). ``stacked_t`` holds each layer's ``[w; b].T``.
 
@@ -334,9 +357,7 @@ def _forward(blk: _Block, table: np.ndarray, idx: np.ndarray, stacked_t) -> np.n
     routine on float64, the same plain loop on long double. It skips
     matmul's gufunc set-up, which costs more than the arithmetic at a batch
     of 64."""
-    # the indices are validated, so clip mode skips take's bounds pass; the
-    # rows land in the block's latent part through its transpose
-    table.take(idx, axis=0, out=blk.parts[0].T, mode="clip")
+    blk.latent_rows[...] = rows
     for wb_t, inp, out in zip(stacked_t, blk.inputs, blk.parts[1:]):
         wb_t.dot(inp, out)
         np.maximum(out, 0.0, out=out)
@@ -350,7 +371,7 @@ def forward(model: Model, batch_indices: Sequence[int]) -> ForwardTrace:
     idx = as_indices(batch_indices, model.n, "batch_indices")
     blk = _Block(model.dims[1:-1], len(idx), model.theta.dtype)
     stacked_t = [wb.T for wb in _stacked(model, model.theta)]
-    recon = _forward(blk, model.latent_table, idx, stacked_t)
+    recon = _forward(blk, model.latent_table.take(idx, axis=0), stacked_t)
     return ForwardTrace(blk.parts[0].T, [p.T for p in blk.parts[1:]], recon.T)
 
 
@@ -439,37 +460,57 @@ class _Workspace:
     """Buffers and views reused by the training steps of one :func:`fit`:
     the flat gradient vector, the per-layer views a backward step uses, one
     :class:`_Block` per batch size (a fit sees at most two), two theta-sized
-    scratch vectors for Adam, and the latent rows the last
-    :func:`gradients` call wrote.
+    scratch vectors for Adam, ``root``, the cache of sqrt(``model.v``), and
+    ``rows``, the slice of latent rows the last :func:`gradients` call
+    wrote.
 
     ``stacked_t`` holds each layer's ``[w; b].T`` and ``layers``, for each
     of ``model.layers``, (grad ``[w; b]``, grad w, w, w raveled): views into
     the gradient and into ``model.theta``, made once so that no step
-    rebuilds them.
-
-    ``records`` views the latent gradient block as one opaque record per
-    row (``record`` bytes wide), so clearing and writing whole rows are 1-D
-    byte copies rather than 2-D fancy-index assignments."""
+    rebuilds them. ``tables`` views the latent rows of ``theta``, ``m``,
+    ``v`` and ``root``, which :meth:`reorder` permutes together. ``adam``
+    holds the vectors an Adam step updates by span (a scratch vector, ``m``,
+    ``v`` and ``root``) and ``decoder`` their views from ``theta[tail]``, the
+    decoder's first parameter, on."""
 
     def __init__(self, model: Model):
+        n, k = model.n, model.dims[1]
         self.grad = np.zeros_like(model.theta)
         self.latent, _ = _split_layers(model, self.grad)
         self.stacked_t = [wb.T for wb in _stacked(model, model.theta)]
         grads = _stacked(model, self.grad)
         self.layers = [(g, g[:-1], w, w.ravel()) for g, (w, _) in zip(grads, model.layers)]
-        self.record = np.dtype((np.void, self.latent[0].nbytes))
-        self.records = self.latent.view(self.record).reshape(-1)
-        self.zero_record = np.zeros((), self.record)
         self.scratch = (np.empty_like(model.theta), np.empty_like(model.theta))
+        self.root = np.sqrt(model.v)
+        self.tables = [a[: n * k].reshape(n, k) for a in (model.theta, model.m, model.v, self.root)]
+        self.k, self.tail = k, n * k  # the decoder starts at theta[tail]
+        self.adam = (self.scratch[0], model.m, model.v, self.root)
+        self.decoder = (slice(self.tail, None), *(a[self.tail :] for a in self.adam))
         self.fan_ins = model.dims[1:-1]
         self.blocks: dict[int, _Block] = {}
-        self.rows: np.ndarray | None = None
+        self.rows = slice(0, 0)
 
     def block(self, m: int) -> _Block:
         blk = self.blocks.get(m)
         if blk is None:
             blk = self.blocks[m] = _Block(self.fan_ins, m, self.grad.dtype)
         return blk
+
+    def spans(self) -> tuple:
+        """(slice, scratch, m, v, root) over the latent rows of the last
+        batch and over the decoder, as views; one span if they adjoin."""
+        a, m, v, root = self.adam
+        start, stop = self.rows.start * self.k, self.rows.stop * self.k
+        if stop == self.tail:
+            s = slice(start, None)
+            return ((s, a[s], m[s], v[s], root[s]),)
+        s = slice(start, stop)
+        return (s, a[s], m[s], v[s], root[s]), self.decoder
+
+    def reorder(self, rel: np.ndarray) -> None:
+        """Move row ``rel[i]`` of every latent table to row i."""
+        for table in self.tables:
+            table.take(rel, axis=0, out=table)  # take's default mode buffers out
 
 
 def gradients(
@@ -484,9 +525,10 @@ def gradients(
     outside the batch get exactly zero. ReLU and L2-norm subgradients at
     zero are zero. A repeated index sums the gradients of its copies.
 
-    ``_ws`` is private to :func:`fit`, which passes validated, distinct
-    indices and a float64 batch. Then the returned vector is the workspace's
-    reused buffer, valid only until the next step; without it the inputs are
+    ``_ws`` is private to :func:`fit`, which passes a slice of the latent
+    table's rows (in the table's current order) as ``batch_indices`` and a
+    float64 batch. Then the returned vector is the workspace's reused
+    buffer, valid only until the next step; without it the inputs are
     validated and the vector is freshly allocated."""
     fresh = _ws is None
     if fresh:
@@ -495,25 +537,23 @@ def gradients(
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
         _ws = _Workspace(model)
+        rows = model.latent_table.take(idx, axis=0)  # a row take beats fancy indexing
     else:
         idx = batch_indices
-    blk = _ws.block(len(idx))
-    recon = _forward(blk, model.latent_table, idx, _ws.stacked_t)
+        rows = model.latent_table[idx]
+    m = len(x_batch)
+    blk = _ws.block(m)
+    recon = _forward(blk, rows, _ws.stacked_t)
     alpha, beta = config.alpha, config.beta
     if alpha:  # every layer's activity subgradient, from one pass
         units = _activity_units(blk, alpha)
     if blk.masks:
         # ReLU, d_h -> d_a: sign(act) is (act > 0) for all but a NaN act, whose d_h column is NaN
         np.sign(blk.hidden, out=blk.mask)
-    # Every other entry is overwritten below; only the latent rows of the
-    # previous batch can be nonzero.
-    if _ws.rows is not None:
-        _ws.records[_ws.rows] = _ws.zero_record
-    _ws.rows = idx
 
     # d recon_term / d recon = (2/m) * (recon - x), built in recon's buffer
     d_h = np.subtract(recon, x_batch.T, out=recon)
-    d_h *= 2.0 / len(idx)
+    d_h *= 2.0 / m
     for li in reversed(range(len(model.layers))):
         grad_wb, grad_w, w, f = _ws.layers[li]
         hidden = li < len(blk.masks)
@@ -539,8 +579,12 @@ def gradients(
             d_h += latent
     if fresh:
         np.add.at(_ws.latent, idx, d_h.T)
-    else:  # one permutation's slice: distinct rows, one record each
-        _ws.records[idx] = d_h.T.copy().view(_ws.record).ravel()
+    else:
+        # every other entry was overwritten above; only the previous
+        # batch's latent rows can be nonzero
+        _ws.latent[_ws.rows] = 0.0
+        _ws.latent[idx] = d_h.T
+        _ws.rows = idx
     return _ws.grad
 
 
@@ -552,33 +596,52 @@ def adam_step(
 ) -> Model:
     """One Adam update with bias correction over the whole parameter vector,
     in place; returns the model. Parameters with exactly zero gradient and
-    zero moments are unchanged. ``_ws`` is private to :func:`fit` and lends
-    its scratch vectors; without it two are allocated.
+    zero moments are unchanged. ``_ws`` is private to :func:`fit`: it lends
+    its scratch vectors and its root cache, and the step touches the moments
+    only on the last batch's latent rows and the decoder; without it two
+    vectors are allocated and every root is taken.
 
     With beta1, beta2, eps = ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``,
-    the bias corrections c1 = 1 - beta1^t and c2 = 1 - beta2^t are folded
-    into two scalars (Kingma & Ba, arXiv:1412.6980, sec. 2):
-    ``theta -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))``,
-    which equals ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic
-    and leaves one division per parameter."""
+    ``model.m`` and ``model.v`` hold Adam's moments m and v divided by
+    beta1^tau and beta2^tau, tau = ((t - 1) mod R) + 1 and R =
+    ``ADAM_RESCALE``. A step adds ``(1 - beta1) / beta1^tau * g`` to
+    ``model.m`` and ``(1 - beta2) / beta2^tau * g^2`` to ``model.v``, so an
+    entry with g = 0 keeps both bit for bit. Before the first step of each
+    window after the first, one dense fold multiplies them by beta1^R and
+    beta2^R. The bias corrections c1 = 1 - beta1^t, c2 = 1 - beta2^t and the
+    scales go into two scalars (Kingma & Ba, arXiv:1412.6980, sec. 2):
+    ``theta -= (lr * sqrt(c2) * beta1^tau / (c1 * sqrt(beta2^tau))) *
+    model.m / (sqrt(model.v) + eps * sqrt(c2 / beta2^tau))``, which equals
+    ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic. Its four dense
+    passes (add, scale, divide, subtract) take no square root."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m, v = model.m, model.v
     if _ws is None:
         a, b = np.empty_like(model.theta), np.empty_like(model.theta)
+        root, spans = b, ((slice(None), a, m, v, b),)
     else:
         a, b = _ws.scratch
+        root, spans = _ws.root, _ws.spans()
     model.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    root_c2 = math.sqrt(1.0 - b2**model.t)
-    step = config.learning_rate * root_c2 / (1.0 - b1**model.t)
-    m, v = model.m, model.v
-    m *= b1
-    np.multiply(grads, 1.0 - b1, out=a)
-    m += a
-    v *= b2
-    np.multiply(grads, grads, out=a)
-    a *= 1.0 - b2
-    v += a
-    np.sqrt(v, out=b)
-    b += ADAM_EPS * root_c2
+    tau = (model.t - 1) % ADAM_RESCALE + 1
+    if tau == 1 and model.t > 1:  # fold the last window's decay
+        m *= b1**ADAM_RESCALE
+        v *= b2**ADAM_RESCALE
+        if _ws is not None:
+            np.sqrt(v, out=root)
+    b1_tau, b2_tau = b1**tau, b2**tau
+    gain1, gain2 = _ADAM_GAINS[tau - 1]
+    for s, a_s, m_s, v_s, root_s in spans:
+        g = grads[s]
+        np.multiply(g, gain1, out=a_s)
+        m_s += a_s
+        np.multiply(g, g, out=a_s)
+        a_s *= gain2
+        v_s += a_s
+        np.sqrt(v_s, out=root_s)
+    c1, c2 = 1.0 - b1**model.t, 1.0 - b2**model.t
+    step = config.learning_rate * math.sqrt(c2) * b1_tau / (c1 * math.sqrt(b2_tau))
+    np.add(root, ADAM_EPS * math.sqrt(c2 / b2_tau), out=b)
     np.multiply(m, step, out=a)
     a /= b
     model.theta -= a
@@ -594,6 +657,11 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
     Deterministic given ``config.seed``. Raises
     :class:`TrainingDivergedError` (carrying the partial report) if the loss
     goes non-finite.
+
+    Each epoch first moves the latent rows of ``theta``, ``m``, ``v`` and
+    the root cache into that epoch's shuffle order (one ``take`` each), so
+    batch j is the row slice [j*b, (j+1)*b); the epoch loss reads them back
+    in sample order, and the returned model holds them in sample order.
     """
     x = as_matrix(x, "x")
     n, d = x.shape
@@ -603,14 +671,19 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
     shuffle_rng = spawn_rng(config.seed, 1)  # distinct stream from init
     report = TrainReport(config)
     all_idx = np.arange(n)
+    where = all_idx.copy()  # where[i]: the latent row that holds sample i
     started = time.perf_counter()
     for epoch in range(config.epochs):
         perm = shuffle_rng.permutation(n)
+        # row s of the tables holds sample perm[s], so a batch is a row slice
+        ws.reorder(where[perm])
+        where[perm] = all_idx
+        x_perm = x.take(perm, axis=0)
         for s in range(0, n, batch):
-            idx = perm[s : s + batch]
-            grads = gradients(model, idx, x[idx], config, ws)
+            rows = slice(s, min(s + batch, n))
+            grads = gradients(model, rows, x_perm[rows], config, ws)
             adam_step(model, grads, config, ws)
-        terms = loss(forward(model, all_idx), x, model, config)
+        terms = loss(forward(model, where), x, model, config)
         report.losses.append(terms)
         if not math.isfinite(terms.total):
             report.diverged = True
@@ -625,6 +698,7 @@ def fit(x: np.ndarray, config: ModelConfig) -> tuple[Model, TrainReport]:
             if (ref - terms.total) / scale < conv.rel_tol:
                 report.converged = True
                 break
+    ws.reorder(where)  # back to sample order
     report.wall_time_s = time.perf_counter() - started
     return model, report
 

@@ -33,16 +33,16 @@ OPENBLAS_VERSION = "0.3.31.188.0"
 # embedding hash per gate and core type: sha256 prefix of embed(model).tobytes()
 GATE_HASHES = {
     "SkylakeX": {
-        "spiral": "aa7b4caed861b2cb",
-        "world_map_lift9": "02eb8b97ea7ee986",
-        "olympic": "9b0b6d72c1206616",
-        "elliptic_ring_lift9": "d6357bc395b9ed12",
+        "spiral": "4a7a425240f16717",
+        "world_map_lift9": "ded9133764f7a1c3",
+        "olympic": "f16bd96a97d2fa34",
+        "elliptic_ring_lift9": "e835adbe7c7c1bb3",
     },
     "Haswell": {
-        "spiral": "e44f84097cc88a00",
-        "world_map_lift9": "e73302088ce9e34e",
-        "olympic": "0ce9d06d2e073f1c",
-        "elliptic_ring_lift9": "030f56c911725ef4",
+        "spiral": "fc7f709cb2f9cace",
+        "world_map_lift9": "424cd53c9cdca0c1",
+        "olympic": "0f6775ec6666d75a",
+        "elliptic_ring_lift9": "1d88d8236cabb76d",
     },
 }
 GRADIENT_ORACLE = {"SkylakeX": 2.4567802438287037e-07, "Haswell": 2.4567802438287037e-07}

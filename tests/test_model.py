@@ -11,6 +11,7 @@ from neurodavis.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ADAM_RESCALE,
     Convergence,
     Model,
     ModelConfig,
@@ -120,16 +121,23 @@ def reference_gradients(model, idx, x_batch, cfg):
 
 
 def reference_adam(model, grads, cfg):
+    """The scaled-moment Adam update written plainly, dense, one fresh array
+    per operation: ``model.m`` and ``model.v`` hold the moments divided by
+    beta^tau, folded back every ``ADAM_RESCALE`` steps."""
     model.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1**model.t
-    c2 = 1.0 - b2**model.t
-    m = b1 * model.m + (1.0 - b1) * grads
-    v = b2 * model.v + (1.0 - b2) * (grads * grads)
+    b1, b2, t = ADAM_BETA1, ADAM_BETA2, model.t
+    tau = (t - 1) % ADAM_RESCALE + 1
+    if tau == 1 and t > 1:
+        model.m[...] = model.m * b1**ADAM_RESCALE
+        model.v[...] = model.v * b2**ADAM_RESCALE
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    m = model.m + ((1.0 - b1) / b1**tau) * grads
+    v = model.v + ((1.0 - b2) / b2**tau) * (grads * grads)
     model.m[...] = m
     model.v[...] = v
-    step = cfg.learning_rate * math.sqrt(c2) / c1
-    model.theta -= step * m / (np.sqrt(v) + ADAM_EPS * math.sqrt(c2))
+    step = cfg.learning_rate * math.sqrt(c2) * b1**tau / (c1 * math.sqrt(b2**tau))
+    model.theta -= step * m / (np.sqrt(v) + ADAM_EPS * math.sqrt(c2 / b2**tau))
 
 
 class TestConfig:
@@ -445,20 +453,19 @@ class TestGradients:
         assert np.isnan(latent[6]).all() and np.isfinite(latent[[1, 4, 8]]).all()
 
     def test_workspace_zeroes_stale_latent_rows(self):
-        # fit reuses one gradient buffer; the rows the previous batch wrote
-        # must read zero in the next step's vector
+        # fit reuses one gradient buffer; the row slice the previous batch
+        # wrote must read zero in the next step's vector
         cfg = ModelConfig(seed=2, alpha=1e-3, beta=1e-3, hidden_widths=(4,))
         model = init_model(cfg, 10, 3)
         x = make_rng(2).standard_normal((10, 3))
         ws = _Workspace(model)
-        first, second = np.array([1, 4, 6]), np.array([0, 7, 8, 9])
+        first, second = slice(1, 4), slice(6, 10)
         grads = gradients(model, first, x[first], cfg, ws)
         assert np.all(model.views(grads)["latent_table"][first] != 0.0)
         adam_step(model, grads, cfg, ws)
-        expected = gradients(model, second, x[second], cfg)
+        expected = gradients(model, np.arange(6, 10), x[second], cfg)
         grads = gradients(model, second, x[second], cfg, ws)
-        outside = np.setdiff1d(np.arange(10), second)
-        assert np.all(model.views(grads)["latent_table"][outside] == 0.0)
+        assert np.all(model.views(grads)["latent_table"][:6] == 0.0)
         assert grads.tobytes() == expected.tobytes()
 
     def test_repeated_indices_sum_their_copies(self):
@@ -611,25 +618,47 @@ class TestAdam:
 
     @pytest.mark.parametrize("b1,b2", [(ADAM_BETA1, ADAM_BETA2)])
     def test_matches_textbook_recurrence(self, b1, b2):
-        # the folded bias correction equals lr * m_hat / (sqrt(v_hat) + eps)
-        # up to rounding, over gradients spanning ten decades and exact zeros
+        # the scaled moments, their folds and the folded bias correction
+        # equal lr * m_hat / (sqrt(v_hat) + eps) up to rounding, over four
+        # rescale windows of gradients spanning ten decades and exact zeros,
+        # and beta^tau times the stored moments are the textbook moments;
+        # both on the dense public step and on fit's workspace step. The
+        # recurrence runs in long double: moments of mixed-sign gradients
+        # cancel, and then float64's own rounding of it moves the reference
+        # by up to 1e-10 on some seeds, while the step stays within 1e-12 of
+        # the exact one on this seed
+        for workspace in (False, True):
+            self.check_textbook_recurrence(b1, b2, workspace)
+
+    @staticmethod
+    def check_textbook_recurrence(b1, b2, workspace):
+        wide = np.longdouble
+        b1, b2 = wide(b1), wide(b2)
         cfg = ModelConfig(hidden_widths=(3,), learning_rate=0.01)
         model = init_model(cfg, 20, 4)
+        ws = _Workspace(model) if workspace else None
+        if workspace:
+            ws.rows = slice(0, model.n)  # the whole table, as a batch of n
         rng = make_rng(9)
-        m = np.zeros_like(model.theta)
-        v = np.zeros_like(model.theta)
-        for t in range(1, 251):
+        m = np.zeros(model.theta.size, wide)
+        v = np.zeros(model.theta.size, wide)
+        for t in range(1, 4 * ADAM_RESCALE + 1):
             grads = rng.standard_normal(model.theta.size)
             grads *= 10.0 ** rng.uniform(-8, 2, grads.size)
             grads[rng.random(grads.size) < 0.2] = 0.0
-            m = b1 * m + (1 - b1) * grads
-            v = b2 * v + (1 - b2) * grads**2
+            g = grads.astype(wide)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g**2
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
-            expected = cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            expected = wide(cfg.learning_rate) * m_hat / (np.sqrt(v_hat) + wide(ADAM_EPS))
             model.theta[...] = 0.0
-            adam_step(model, grads, cfg)
+            adam_step(model, grads, cfg, ws)
             np.testing.assert_allclose(-model.theta, expected, rtol=1e-12, atol=0)
+            tau = (t - 1) % ADAM_RESCALE + 1
+            np.testing.assert_allclose(b1**tau * model.m, m, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(b2**tau * model.v, v, rtol=1e-12, atol=0)
+        assert model.t > 3 * ADAM_RESCALE
 
     def test_deterministic_across_models(self):
         cfg = ModelConfig(seed=7, hidden_widths=(4,))
@@ -656,39 +685,47 @@ class TestAdam:
         assert not np.array_equal(model.latent_table[batch], before[batch])
 
 
-# latent_dim 1, 2 and 3 write the latent gradient rows as 8-, 16- and
-# 24-byte records; at batch 1 through one width-1 layer every product has a
-# 1 x 1, single-row or single-column operand, where numpy leaves gemm for its
-# scalar, dot and gemv paths; at batch 7 through a width-1 layer that layer's
-# bias gradient, a one-column batch sum, takes numpy's vector path; with
-# three hidden layers the middle one reads and writes hidden activations
+# latent_dim 1, 2 and 3 give latent rows of 8, 16 and 24 bytes; at batch 1
+# through one width-1 layer every product has a 1 x 1, single-row or
+# single-column operand, where numpy leaves gemm for its scalar, dot and gemv
+# paths; at batch 7 through a width-1 layer that layer's bias gradient, a
+# one-column batch sum, takes numpy's vector path; with three hidden layers
+# the middle one reads and writes hidden activations; at batch 5 the last
+# row slice of each epoch holds 3 rows, and at batch 128 or more one slice is
+# the whole table
 REPLAY_CASES = pytest.mark.parametrize(
     "latent_dim,widths,alpha,beta,batch_size",
     [(2, None, 1e-6, 1e-4, None), (2, (), 1e-6, 1e-4, None),
      (2, None, 0.0, 0.0, None), (2, (5, 4), 1e-3, 1e-3, 7),
      (1, (6,), 1e-3, 1e-3, None), (3, (), 1e-3, 1e-3, 7),
      (1, (1,), 1e-3, 1e-3, 1), (2, (1,), 1e-3, 1e-3, 7),
-     (2, (5, 4, 3), 1e-3, 1e-3, 7)],
+     (2, (5, 4, 3), 1e-3, 1e-3, 7), (2, (4,), 1e-3, 1e-3, 5),
+     (2, (4,), 1e-3, 1e-3, 128), (3, None, 1e-6, 1e-4, 500)],
     ids=["default", "no-hidden", "no-regularizers", "partial-batch",
          "latent1", "latent3-no-hidden", "batch1-width1", "width1-batch7",
-         "three-hidden"],
+         "three-hidden", "last-slice-of-3", "whole-table", "batch-above-n"],
 )
 
 
-def assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size):
+def assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size, **settings):
     """Train with fit, replay its batches over its shuffles with
-    ``step(model, idx, x_batch, cfg)``, and check that theta, m and v come
-    out byte-equal to fit's."""
+    ``step(model, idx, x_batch, cfg)`` for as many epochs as fit ran, and
+    check that theta, m and v come out byte-equal to fit's. By default fit
+    runs at least four epochs and enough to cross three moment folds;
+    ``settings`` override config fields. Returns fit's report."""
     x = make_rng(5).standard_normal((128, 3))  # batch 64 divides, 7 does not
+    steps = -(-len(x) // min(batch_size or 64, len(x)))  # per epoch
+    settings = {"epochs": max(4, -(-(3 * ADAM_RESCALE + 1) // steps)),
+                "convergence": None, **settings}
     cfg = ModelConfig(
         latent_dim=latent_dim, hidden_widths=widths, alpha=alpha, beta=beta,
-        batch_size=batch_size, epochs=4, seed=11, convergence=None,
+        batch_size=batch_size, seed=11, **settings,
     )
-    model, _ = fit(x, cfg)
+    model, report = fit(x, cfg)
     replay = init_model(cfg, *x.shape)
     batch = cfg.resolved_batch_size(len(x))
     shuffle_rng = spawn_rng(cfg.seed, 1)
-    for _ in range(cfg.epochs):
+    for _ in range(len(report.losses)):
         perm = shuffle_rng.permutation(len(x))
         for s in range(0, len(x), batch):
             idx = perm[s : s + batch]
@@ -696,6 +733,7 @@ def assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size):
     assert replay.t == model.t
     for name in ("theta", "m", "v"):
         assert getattr(replay, name).tobytes() == getattr(model, name).tobytes(), name
+    return report
 
 
 class TestFit:
@@ -709,6 +747,18 @@ class TestFit:
             adam_step(model, gradients(model, idx, x_batch, cfg), cfg)
 
         assert_fit_replays(step, latent_dim, widths, alpha, beta, batch_size)
+
+    def test_early_stop_returns_rows_in_sample_order(self):
+        # the default early stop leaves the epoch loop by its break; theta,
+        # m and v still come back in sample order, as a replay shows
+        def step(model, idx, x_batch, cfg):
+            adam_step(model, gradients(model, idx, x_batch, cfg), cfg)
+
+        report = assert_fit_replays(
+            step, 2, None, 1e-6, 1e-4, None,
+            learning_rate=0.01, epochs=1000, convergence=Convergence(),
+        )
+        assert report.converged and len(report.losses) < 1000
 
     @REPLAY_CASES
     def test_bit_identical_to_reference_formulas(
@@ -738,12 +788,18 @@ class TestFit:
         ws = _Workspace(model)
         batch = cfg.resolved_batch_size(len(x))
         shuffle_rng = spawn_rng(cfg.seed, 1)
+        rows = np.arange(len(x))
+        where = rows.copy()
         for _ in range(cfg.epochs):
+            # as fit does: the latent rows in shuffle order, a batch a slice
             perm = shuffle_rng.permutation(len(x))
+            ws.reorder(where[perm])
+            where[perm] = rows
+            x_perm = x[perm]
             for s in range(0, len(x), batch):
-                idx = perm[s : s + batch]
-                want = oracle_row_major_gradients(model, idx, x[idx], cfg)
-                got = gradients(model, idx, x[idx], cfg, ws)
+                sl = slice(s, min(s + batch, len(x)))
+                want = oracle_row_major_gradients(model, rows[sl], x_perm[sl], cfg)
+                got = gradients(model, sl, x_perm[sl], cfg, ws)
                 for name, w in model.views(want).items():
                     g = model.views(got)[name]
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
@@ -761,7 +817,7 @@ class TestFit:
             # of a model fill numpy's small-block caches (tracemalloc counts
             # a block taken from malloc for them as live), and each later
             # step re-zeroes the latent rows of the one before
-            batches = np.arange(192).reshape(3, 64)
+            batches = [slice(0, 64), slice(64, 128), slice(128, 192)]
             for idx in batches:
                 xb = x[idx]
                 tracemalloc.start()
