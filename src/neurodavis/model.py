@@ -182,10 +182,14 @@ class Model:
     """Trainable state. All parameters live in one flat vector ``theta``;
     Adam's moments ``m`` and ``v`` share its layout and ``t`` counts steps.
     ``m`` and ``v`` hold the moments divided by beta1^tau and beta2^tau,
-    tau = ((t - 1) mod ``ADAM_RESCALE``) + 1 (see :func:`adam_step`).
-    ``latent_table`` and ``layers`` (the hidden layers in order, then the
-    reconstruction layer) are reshaped views into ``theta``, so writing
-    through them updates it."""
+    tau = ((t - 1) mod ``ADAM_RESCALE``) + 1, and a dense fold every
+    ``ADAM_RESCALE`` steps moves the decay back into them (see
+    :func:`adam_step`). ``latent_table`` and ``layers`` (the hidden layers in
+    order, then the reconstruction layer) are reshaped views into ``theta``,
+    so writing through them updates it. Row i of ``latent_table`` (and of
+    the latent block of ``m`` and ``v``) belongs to sample i, except inside
+    :func:`fit`, which keeps the rows in each epoch's shuffle order and
+    returns them in sample order."""
 
     dims: tuple[int, ...]  # (n, latent_dim, *hidden widths, d)
     theta: np.ndarray

@@ -624,9 +624,9 @@ class TestAdam:
         # and beta^tau times the stored moments are the textbook moments;
         # both on the dense public step and on fit's workspace step. The
         # recurrence runs in long double: moments of mixed-sign gradients
-        # cancel, and then float64's own rounding of it moves the reference
-        # by up to 1e-10 on some seeds, while the step stays within 1e-12 of
-        # the exact one on this seed
+        # cancel, and then float64's own rounding of it can move the
+        # reference by 1.8e-10 (one of six seeds tried), while the step stays
+        # within 1e-12 of the exact one on this seed
         for workspace in (False, True):
             self.check_textbook_recurrence(b1, b2, workspace)
 
