@@ -45,7 +45,7 @@ from .datasets import (
 from .errors import InvalidInputError, NeurodavisError, TrainingDivergedError
 from .metrics import DEFAULT_PAIR_BUDGET, mann_whitney_u
 from .model import Convergence, ModelConfig, embed, fit, save_checkpoint
-from .numerics import as_class_ids, as_count, as_matrix, make_rng
+from .numerics import as_class_ids, as_count, as_matrix, make_rng, unit_scaled
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
@@ -291,7 +291,11 @@ def cmd_eval(args) -> int:
 def render_scatter_svg(points, labels=None) -> str:
     """Deterministic SVG scatter of 2-D ``points``, ``PLOT_WIDTH`` by
     ``PLOT_HEIGHT``: one circle per row, colors from a fixed 10-color palette
-    by class id (``labels``, one per row), axes auto-scaled with a 5% margin."""
+    by class id (``labels``, one per row), axes auto-scaled with a 5% margin.
+
+    Drawn at unit scale (``numerics.unit_scaled``), which places every point
+    as at any power of two, so rows near 1e308 draw without overflow; a
+    coordinate over 2**1022 below the largest loses precision there."""
     pts = as_matrix(points, "points")
     if pts.shape[1] != 2:
         raise InvalidInputError(f"plot needs a 2-D embedding, got d={pts.shape[1]}")
@@ -299,6 +303,7 @@ def render_scatter_svg(points, labels=None) -> str:
         raise InvalidInputError("plot needs at least one point")
     if labels is not None:
         labels, _ = as_class_ids(labels, len(pts))
+    pts = unit_scaled(pts)[0]
     width, height = PLOT_WIDTH, PLOT_HEIGHT
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -126,17 +126,22 @@ def _class_rows(labels: np.ndarray) -> list[np.ndarray]:
 
 
 def _paired_classes(x_high, x_low, labels):
-    """Two row-aligned spaces and the rows of each of their >= 3 classes."""
+    """Two row-aligned spaces, each at its unit scale (``unit_scaled``), and
+    the rows of each of their >= 3 classes."""
     x_high, x_low = as_paired(x_high, x_low)
     labels, n_classes = as_class_ids(labels, x_high.shape[0])
     if n_classes < 3:
         raise InvalidInputError(f"need >= 3 classes, got {n_classes}")
-    return x_high, x_low, _class_rows(labels)
+    return unit_scaled(x_high)[0], unit_scaled(x_low)[0], _class_rows(labels)
 
 
 def centroid_distance_preservation(x_high, x_low, labels) -> float:
     """Spearman correlation between pairwise distances of per-class centroids
-    in the two spaces. Needs >= 3 classes for a meaningful rank correlation."""
+    in the two spaces. Needs >= 3 classes for a meaningful rank correlation.
+
+    Taken at each space's unit scale, which keeps the ranks, so a table near
+    1e308 scores as at 1; a value over 2**1022 below its table's largest
+    loses precision there."""
     x_high, x_low, rows = _paired_classes(x_high, x_low, labels)
     d_high, d_low = (
         pairwise_euclidean(np.array([x[r].mean(axis=0) for r in rows]))[2]
@@ -147,7 +152,11 @@ def centroid_distance_preservation(x_high, x_low, labels) -> float:
 
 def cluster_area_preservation(x_high, x_low, labels) -> float:
     """Pearson correlation between per-class axis-aligned bounding-rectangle
-    areas in two 2-D spaces. Singleton classes contribute area 0."""
+    areas in two 2-D spaces. Singleton classes contribute area 0.
+
+    Taken at each space's unit scale, which keeps the correlation, so a
+    table near 1e308 scores as at 1; an area below 2**-1074 times the square
+    of its table's largest value reads 0 there."""
     x_high, x_low, rows = _paired_classes(x_high, x_low, labels)
     if x_high.shape[1] != 2 or x_low.shape[1] != 2:
         raise InvalidInputError("both spaces must be 2-D")

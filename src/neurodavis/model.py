@@ -57,24 +57,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, TrainingDivergedError
-from .numerics import Rng, as_count, as_indices, as_matrix, as_real, make_rng, spawn_rng
-
-__all__ = [
-    "Convergence",
-    "ModelConfig",
-    "Model",
-    "ForwardTrace",
-    "LossTerms",
-    "TrainReport",
-    "init_model",
-    "forward",
-    "loss",
-    "gradients",
-    "adam_step",
-    "fit",
-    "embed",
-    "save_checkpoint",
-]
+from .numerics import as_count, as_indices, as_matrix, as_real, as_vector, make_rng, spawn_rng
 
 CHECKPOINT_FORMAT = "neurodavis-checkpoint"
 CHECKPOINT_VERSION = 4
@@ -466,7 +449,7 @@ class _Workspace:
     :class:`_Block` per batch size (a fit sees at most two), two theta-sized
     scratch vectors for Adam, ``root``, the cache of sqrt(``model.v``), and
     ``rows``, the slice of latent rows the last :func:`gradients` call
-    wrote.
+    wrote, at first the whole table.
 
     ``stacked_t`` holds each layer's ``[w; b].T`` and ``layers``, for each
     of ``model.layers``, (grad ``[w; b]``, grad w, w, w raveled): views into
@@ -492,7 +475,7 @@ class _Workspace:
         self.decoder = (slice(self.tail, None), *(a[self.tail :] for a in self.adam))
         self.fan_ins = model.dims[1:-1]
         self.blocks: dict[int, _Block] = {}
-        self.rows = slice(0, 0)
+        self.rows = slice(0, n)
 
     def block(self, m: int) -> _Block:
         blk = self.blocks.get(m)
@@ -535,19 +518,16 @@ def gradients(
     buffer, valid only until the next step; without it the inputs are
     validated and the vector is freshly allocated."""
     fresh = _ws is None
+    idx = batch_indices
     if fresh:
         idx = as_indices(batch_indices, model.n, "batch_indices")
         x_batch = as_matrix(x_batch, "x_batch")
         if x_batch.shape != (idx.size, model.d):
             raise InvalidInputError("x_batch shape does not match batch")
         _ws = _Workspace(model)
-        rows = model.latent_table.take(idx, axis=0)  # a row take beats fancy indexing
-    else:
-        idx = batch_indices
-        rows = model.latent_table[idx]
     m = len(x_batch)
     blk = _ws.block(m)
-    recon = _forward(blk, rows, _ws.stacked_t)
+    recon = _forward(blk, model.latent_table[idx], _ws.stacked_t)
     alpha, beta = config.alpha, config.beta
     if alpha:  # every layer's activity subgradient, from one pass
         units = _activity_units(blk, alpha)
@@ -600,10 +580,12 @@ def adam_step(
 ) -> Model:
     """One Adam update with bias correction over the whole parameter vector,
     in place; returns the model. Parameters with exactly zero gradient and
-    zero moments are unchanged. ``_ws`` is private to :func:`fit`: it lends
-    its scratch vectors and its root cache, and the step touches the moments
-    only on the last batch's latent rows and the decoder; without it two
-    vectors are allocated and every root is taken.
+    zero moments are unchanged. ``_ws`` is private to :func:`fit`. Without
+    it ``grads`` must be a finite real vector of ``theta``'s length, else
+    :class:`InvalidInputError` is raised before the model changes, and the
+    step runs in a fresh workspace whose batch is the whole table. The step
+    updates the moments and their root cache only on the batch's latent
+    rows and the decoder (``_Workspace.spans``).
 
     With beta1, beta2, eps = ``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``,
     ``model.m`` and ``model.v`` hold Adam's moments m and v divided by
@@ -618,24 +600,24 @@ def adam_step(
     model.m / (sqrt(model.v) + eps * sqrt(c2 / beta2^tau))``, which equals
     ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic. Its four dense
     passes (add, scale, divide, subtract) take no square root."""
+    if _ws is None:
+        grads = as_vector(grads, "grads")
+        if grads.size != model.theta.size:
+            raise InvalidInputError(f"grads must have {model.theta.size} entries, got {grads.size}")
+        _ws = _Workspace(model)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = model.m, model.v
-    if _ws is None:
-        a, b = np.empty_like(model.theta), np.empty_like(model.theta)
-        root, spans = b, ((slice(None), a, m, v, b),)
-    else:
-        a, b = _ws.scratch
-        root, spans = _ws.root, _ws.spans()
+    a, b = _ws.scratch
+    root = _ws.root
     model.t += 1
     tau = (model.t - 1) % ADAM_RESCALE + 1
     if tau == 1 and model.t > 1:  # fold the last window's decay
         m *= b1**ADAM_RESCALE
         v *= b2**ADAM_RESCALE
-        if _ws is not None:
-            np.sqrt(v, out=root)
+        np.sqrt(v, out=root)
     b1_tau, b2_tau = b1**tau, b2**tau
     gain1, gain2 = _ADAM_GAINS[tau - 1]
-    for s, a_s, m_s, v_s, root_s in spans:
+    for s, a_s, m_s, v_s, root_s in _ws.spans():
         g = grads[s]
         np.multiply(g, gain1, out=a_s)
         m_s += a_s

@@ -219,7 +219,7 @@ def _own_scale_distances(a: np.ndarray, b: np.ndarray, ii, jj) -> np.ndarray:
     out = np.empty(len(ii))
     step = max(1, _BLOCK_VALUES // max(a.shape[1], 1))
     for s in range(0, len(ii), step):
-        diff = a[ii[s : s + step]] - b[jj[s : s + step]]
+        diff = a.take(ii[s : s + step], axis=0) - b.take(jj[s : s + step], axis=0)
         e = np.frexp(np.abs(diff).max(axis=1, initial=0.0))[1]
         np.ldexp(diff, -e[:, None], out=diff)
         out[s : s + step] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", diff, diff)), e)
@@ -261,7 +261,8 @@ def pair_distances(x: np.ndarray, ii, jj) -> np.ndarray:
     step = max(1, _BLOCK_VALUES // max(x.shape[1], 1))
     for s in range(0, len(ii), step):
         e = min(s + step, len(ii))
-        diff = x[ii[s:e]] - x[jj[s:e]]
+        # a row take gathers the rows several times faster than x[ii[s:e]]
+        diff = x.take(ii[s:e], axis=0) - x.take(jj[s:e], axis=0)
         sums[s:e] = np.einsum("ij,ij->i", diff, diff)
     return _rooted(sums, scale, lambda p: (raw, raw, ii[p], jj[p]))
 

@@ -528,6 +528,15 @@ class TestPlot:
         with pytest.raises(InvalidInputError, match=message):
             render_scatter_svg(points, labels)
 
+    def test_far_apart_points_draw_as_at_unit_scale(self):
+        # unscaled, the x extent of these points overflows to inf and the
+        # first circle reads cx="nan"
+        pts = np.array([[1.5e308, 0.0], [-1.5e308, 1.0], [0.0, 0.5]])
+        with np.errstate(all="raise"):
+            svg = render_scatter_svg(pts)
+        assert "nan" not in svg
+        assert svg == render_scatter_svg(pts * 2.0**-1000)
+
     def test_label_colors_from_palette(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
         svg = render_scatter_svg(pts, labels=[0, 1, 2])

@@ -624,6 +624,17 @@ def test_scale_free_kernels_run_at_unit_scale(power):
         assert agglomerative(scaled, 3).tobytes() == agglomerative(ds.x, 3).tobytes()
 
 
+@pytest.mark.parametrize("power", [1000, 1022])
+def test_class_metrics_run_at_unit_scale(power):
+    # unscaled, a class sum of spiral * 2**1022 overflows in the centroid
+    # mean, a class area overflows at 2**1000 and a class extent at 2**1022
+    ds = gen_synthetic("spiral", make_rng(0))
+    scaled = ds.x * 2.0**power
+    with np.errstate(all="raise"):
+        assert centroid_distance_preservation(scaled, ds.x, ds.labels) == 1.0
+        assert cluster_area_preservation(scaled, ds.x, ds.labels) == 1.0
+
+
 class TestPairCountingIndices:
     def test_identical_labelings(self):
         labels = np.array([0, 0, 1, 1, 2, 2, 2, 1])

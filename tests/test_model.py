@@ -636,9 +636,7 @@ class TestAdam:
         b1, b2 = wide(b1), wide(b2)
         cfg = ModelConfig(hidden_widths=(3,), learning_rate=0.01)
         model = init_model(cfg, 20, 4)
-        ws = _Workspace(model) if workspace else None
-        if workspace:
-            ws.rows = slice(0, model.n)  # the whole table, as a batch of n
+        ws = _Workspace(model) if workspace else None  # its batch: the whole table
         rng = make_rng(9)
         m = np.zeros(model.theta.size, wide)
         v = np.zeros(model.theta.size, wide)
@@ -659,6 +657,22 @@ class TestAdam:
             np.testing.assert_allclose(b1**tau * model.m, m, rtol=1e-12, atol=0)
             np.testing.assert_allclose(b2**tau * model.v, v, rtol=1e-12, atol=0)
         assert model.t > 3 * ADAM_RESCALE
+
+    @pytest.mark.parametrize(
+        "make_bad",
+        [lambda size: np.zeros(size - 1),
+         lambda size: np.r_[np.zeros(size - 1), np.nan],
+         lambda size: np.zeros(size, complex)],
+        ids=["wrong-length", "non-finite", "complex"],
+    )
+    def test_public_step_checks_grads_before_touching_model(self, make_bad):
+        cfg = ModelConfig(hidden_widths=(3,))
+        model = init_model(cfg, 20, 3)
+        adam_step(model, make_rng(0).standard_normal(model.theta.size), cfg)
+        before = [model.t] + [a.tobytes() for a in (model.theta, model.m, model.v)]
+        with pytest.raises(InvalidInputError, match="grads"):
+            adam_step(model, make_bad(model.theta.size), cfg)
+        assert [model.t] + [a.tobytes() for a in (model.theta, model.m, model.v)] == before
 
     def test_deterministic_across_models(self):
         cfg = ModelConfig(seed=7, hidden_widths=(4,))
