@@ -28,6 +28,7 @@ from .metrics import (
     fmi,
     kmeans,
     knn_evaluate,
+    mann_whitney_u,
 )
 from .model import (
     Model,
@@ -58,6 +59,16 @@ GRADIENT_TOLERANCE = 1e-4
 FINITE_DIFFERENCE_STEP = 1e-6
 # evaluate_embedding's selections; every one after the first needs labels.
 METRICS = ("distance", "centroid", "area", "knn", "cluster")
+# Each `check --which` run on the caller's generator; it looks its check_* up
+# when called, so a rebound one (a probe's) runs. theorem1's input is 20
+# standard-normal rows in 3-D, row 1 a copy of row 0: a pair in any delta-ball.
+CHECKS = {
+    "lemma1": lambda rng, trials=1000: check_lemma1(trials, rng),
+    "theorem1": lambda rng: check_theorem1(
+        rng.standard_normal((20, 3))[[0, 0, *range(2, 20)]], (0, 1), 0.5, 200, rng
+    ),
+    "gradients": lambda rng: check_gradients(20, rng),
+}
 # False on builds whose long double is plain float64 (MSVC, Apple arm64).
 LONGDOUBLE_EXTENDS_FLOAT64 = bool(
     np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
@@ -72,6 +83,11 @@ class Lemma1Report:
     @property
     def passed(self) -> bool:
         return self.max_norm <= 1.0 + LEMMA1_TOLERANCE
+
+    @property
+    def detail(self) -> str:
+        return (f"max |I - eta*W*W^T|_2 over {self.trials} trials = "
+                f"{self.max_norm:.12f} (bound 1 + {LEMMA1_TOLERANCE:g})")
 
 
 @dataclass
@@ -88,6 +104,11 @@ class ContractionTrace:
         g = self.gaps
         return bool(np.all(g[1:] <= g[:-1] * (1.0 + THEOREM1_REL_TOLERANCE)))
 
+    @property
+    def detail(self) -> str:
+        return (f"gap {self.gaps[0]:.6f} -> {self.gaps[-1]:.6f} over "
+                f"{len(self.gaps) - 1} steps, monotone non-increasing")
+
 
 @dataclass
 class GradientCheckReport:
@@ -97,6 +118,11 @@ class GradientCheckReport:
     @property
     def passed(self) -> bool:
         return self.max_rel_error < GRADIENT_TOLERANCE
+
+    @property
+    def detail(self) -> str:
+        return (f"max relative error over {self.n_models} models = "
+                f"{self.max_rel_error:.3g} (tolerance {GRADIENT_TOLERANCE:g})")
 
 
 @dataclass
@@ -120,6 +146,22 @@ class SuiteResult:
             key: float(np.median([rep.metrics[key] for rep in self.reports]))
             for key in self.reports[0].metrics
         }
+
+    def to_dict(self, compare: SuiteResult | None = None) -> dict:
+        """The eval report's ``runs`` and ``medians``; given ``compare``, run on
+        the same seeds, also each run's ``compare_metrics`` and, per metric,
+        the two run sets' rank-sum ``comparison`` (``mw_u``, ``mw_p``)."""
+        runs = [{"seed": rep.seed, "metrics": rep.metrics} for rep in self.reports]
+        doc = {"runs": runs, "medians": self.medians}
+        if compare is not None:
+            for entry, other in zip(runs, compare.reports):
+                entry["compare_metrics"] = other.metrics
+            doc["comparison"] = {}
+            for key in doc["medians"]:
+                u, p = mann_whitney_u([rep.metrics[key] for rep in self.reports],
+                                      [rep.metrics[key] for rep in compare.reports])
+                doc["comparison"][key] = {"mw_u": u, "mw_p": p}
+        return doc
 
 
 def check_lemma1(trials: int, rng: Rng) -> Lemma1Report:

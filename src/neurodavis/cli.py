@@ -23,17 +23,7 @@ import sys
 
 import numpy as np
 
-from .analysis import (
-    GRADIENT_TOLERANCE,
-    LEMMA1_TOLERANCE,
-    METRICS,
-    EvalReport,
-    SuiteResult,
-    check_gradients,
-    check_lemma1,
-    check_theorem1,
-    evaluate_embedding,
-)
+from .analysis import CHECKS, METRICS, EvalReport, SuiteResult, evaluate_embedding
 from .datasets import (
     SYNTHETIC_KINDS,
     Dataset,
@@ -43,7 +33,7 @@ from .datasets import (
     save_csv,
 )
 from .errors import InvalidInputError, NeurodavisError, TrainingDivergedError
-from .metrics import DEFAULT_PAIR_BUDGET, mann_whitney_u
+from .metrics import DEFAULT_PAIR_BUDGET
 from .model import Convergence, ModelConfig, embed, fit, save_checkpoint
 from .numerics import as_class_ids, as_count, as_matrix, make_rng, unit_scaled
 
@@ -67,7 +57,7 @@ def _fail(message: str, code: int = USAGE_ERROR) -> int:
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if not text or text == "none":
+    if text == "none":
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
@@ -180,11 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--out", required=True)
 
     p_check = sub.add_parser("check", help="run the numerical self-checks")
-    p_check.add_argument(
-        "--which", required=True, choices=["lemma1", "theorem1", "gradients"]
-    )
+    p_check.add_argument("--which", required=True, choices=CHECKS)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int, help="lemma1 trials (default 1000)")
+    p_check.add_argument("--trials", type=int, help="trial count, --which lemma1 only")
 
     return parser
 
@@ -210,8 +198,8 @@ def cmd_fit(args) -> int:
     report_path = args.out_report or f"{stem}.train.json"
     for path in (model_path, emb_path, report_path):  # fail before training
         folder = os.path.dirname(path) or "."
-        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-            return _fail(f"cannot write {path}: {folder} is not a writable directory")
+        if os.path.isdir(path) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            return _fail(f"cannot write {path}: not a file in a writable directory")
 
     def write_report(report) -> None:
         with open(report_path, "w", encoding="utf-8") as fh:
@@ -242,43 +230,25 @@ def cmd_eval(args) -> int:
     n_runs = as_count(args.runs, "runs", 1)
     metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
     high = load_csv(args.high, label_column=args.label_col)
-    embeddings = {"metrics": load_csv(args.low)}
-    if args.compare is not None:
-        embeddings["compare_metrics"] = load_csv(args.compare)
-    doc: dict = {
-        "schema": "neurodavis-eval-report/1",
-        "high": args.high,
-        "low": args.low,
-        "seed": args.seed,
-        "metrics_requested": list(metrics),
-    }
+    embeddings = [load_csv(p) for p in (args.low, args.compare) if p is not None]
     # a fresh generator per run and embedding: identical pair samples
-    suites = {
-        key: SuiteResult([
+    suites = [
+        SuiteResult([
             EvalReport(seed, evaluate_embedding(
                 high.x, emb.x, labels=high.labels, metrics=metrics,
                 pair_budget=args.pair_budget, rng=make_rng(seed),
             ))
             for seed in range(args.seed, args.seed + n_runs)
         ])
-        for key, emb in embeddings.items()
-    }
-    doc["runs"] = [
-        {"seed": rep.seed, **{key: s.reports[r].metrics for key, s in suites.items()}}
-        for r, rep in enumerate(suites["metrics"].reports)
+        for emb in embeddings
     ]
-    doc["medians"] = suites["metrics"].medians
-    if args.compare is not None:
+    doc = {"schema": "neurodavis-eval-report/1", "high": args.high, "low": args.low,
+           "seed": args.seed, "metrics_requested": list(metrics),
+           **suites[0].to_dict(*suites[1:])}
+    if args.compare is not None:  # its path goes before the comparison
         doc["compare"] = args.compare
-        doc["comparison"] = {}
-        low_runs, compare_runs = suites.values()
-        for key in doc["medians"]:
-            u, p = mann_whitney_u(
-                [rep.metrics[key] for rep in low_runs.reports],
-                [rep.metrics[key] for rep in compare_runs.reports],
-            )
-            doc["comparison"][key] = {"mw_u": u, "mw_p": p}
-    text = json.dumps(doc, indent=2)
+        doc["comparison"] = doc.pop("comparison")
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -347,22 +317,9 @@ def cmd_plot(args) -> int:
 def cmd_check(args) -> int:
     if args.trials is not None and args.which != "lemma1":
         return _fail(f"--trials applies to --which lemma1 only, not {args.which}")
-    rng = make_rng(args.seed)
-    if args.which == "lemma1":
-        report = check_lemma1(1000 if args.trials is None else args.trials, rng)
-        detail = (f"max |I - eta*W*W^T|_2 over {report.trials} trials = "
-                  f"{report.max_norm:.12f} (bound 1 + {LEMMA1_TOLERANCE:g})")
-    elif args.which == "gradients":
-        report = check_gradients(20, rng)
-        detail = (f"max relative error over {report.n_models} models = "
-                  f"{report.max_rel_error:.3g} (tolerance {GRADIENT_TOLERANCE:g})")
-    else:  # theorem1: duplicate one row so the pair sits inside the delta-ball
-        x = rng.standard_normal((20, 3))
-        x[1] = x[0]
-        report = check_theorem1(x, (0, 1), eta=0.5, steps=200, rng=rng)
-        detail = (f"gap {report.gaps[0]:.6f} -> {report.gaps[-1]:.6f} over "
-                  f"{len(report.gaps) - 1} steps, monotone non-increasing")
-    print(f"{args.which}: {detail}: {'PASS' if report.passed else 'FAIL'}")
+    sized = {} if args.trials is None else {"trials": args.trials}
+    report = CHECKS[args.which](make_rng(args.seed), **sized)
+    print(f"{args.which}: {report.detail}: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else NUMERIC_ERROR
 
 

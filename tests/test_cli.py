@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import neurodavis
+import neurodavis.analysis
 import neurodavis.cli
-from neurodavis.analysis import METRICS, evaluate_embedding
+from neurodavis.analysis import CHECKS, METRICS, evaluate_embedding
 from neurodavis.cli import _model_config, build_parser, main, render_scatter_svg
 from neurodavis.datasets import SYNTHETIC_KINDS, load_csv
 from neurodavis.errors import InvalidInputError
@@ -172,6 +174,13 @@ class TestFit:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["config"]["hidden_widths"] == []
 
+    @pytest.mark.parametrize("hidden", ["", " "])
+    def test_blank_hidden_exits_2(self, tmp_path, spiral_csv, capsys, hidden):
+        # 'none' is the one spelling of no hidden layers
+        assert self._fit(tmp_path, spiral_csv, extra=["--hidden", hidden]) == 2
+        assert "error: argument --hidden" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
+
     def test_non_integer_hidden_exits_2(self, tmp_path, spiral_csv, capsys):
         assert self._fit(tmp_path, spiral_csv, extra=["--hidden", "a,b"]) == 2
         assert "error: argument --hidden" in capsys.readouterr().err
@@ -195,6 +204,21 @@ class TestFit:
         # checked before training: no output of the run was written
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spiral.csv"]
 
+    @pytest.mark.parametrize("flag", ["--out-report", "--out-model", "--out-embedding"])
+    def test_directory_output_exits_2_before_training(
+        self, tmp_path, spiral_csv, capsys, monkeypatch, flag
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the output paths were checked")
+
+        monkeypatch.setattr(neurodavis.cli, "fit", no_fit)
+        target = tmp_path / "outdir"
+        target.mkdir()
+        assert self._fit(tmp_path, spiral_csv, extra=[flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "spiral.csv"]
+        assert list(target.iterdir()) == []
 
     def test_non_finite_label_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inf.csv"
@@ -594,9 +618,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("which", list(SPOIL))
     def test_failed_check_exits_3(self, monkeypatch, capsys, which):
-        real = getattr(neurodavis.cli, f"check_{which}")
+        real = getattr(neurodavis.analysis, f"check_{which}")
         monkeypatch.setattr(
-            neurodavis.cli, f"check_{which}", lambda *a, **k: SPOIL[which](real(*a, **k))
+            neurodavis.analysis, f"check_{which}", lambda *a, **k: SPOIL[which](real(*a, **k))
         )
         trials = ["--trials", "5"] if which == "lemma1" else []
         assert run(["check", "--which", which, *trials]) == 3
@@ -668,6 +692,18 @@ class TestUsage:
     def test_eval_metrics_help_lists_the_library_metrics(self, capsys):
         assert run(["eval", "--help"]) == 0
         assert f"comma list from: {','.join(METRICS)}" in capsys.readouterr().out
+
+    def test_every_option_list_comes_from_the_library(self):
+        def options(parser):
+            return {opt: a for a in parser._actions for opt in a.option_strings}
+
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        assert tuple(options(commands["gen"])["--kind"].choices) == SYNTHETIC_KINDS
+        assert tuple(options(commands["check"])["--which"].choices) == tuple(CHECKS)
+        metrics_help = options(commands["eval"])["--metrics"].help
+        assert all(name in metrics_help for name in METRICS)
 
     def test_eval_pair_budget_default_is_the_library_default(self):
         args = build_parser().parse_args(["eval", "--high", "a.csv", "--low", "b.csv"])
