@@ -6,9 +6,10 @@ error (including flag values out of range and unwritable output paths), 3
 numeric failure (diverged training or a failed check). Every subcommand's
 output is bit-identical given its flags, the BLAS thread count, the numpy
 build and the OpenBLAS core type the CPU selects (``SkylakeX`` and the
-AVX2-only ``Haswell`` kernels round differently); the one exception is the
-training report's ``wall_time_s``. All randomness derives from ``--seed``.
-To pin the BLAS thread count, set ``OPENBLAS_NUM_THREADS``,
+AVX2-only ``Haswell`` kernels round differently), with or without numpy's
+AVX-512 SIMD dispatch (``test_bytes_independent_of_simd_dispatch``); the one
+exception is the training report's ``wall_time_s``. All randomness derives
+from ``--seed``. To pin the BLAS thread count, set ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` or ``MKL_NUM_THREADS`` before Python starts: BLAS reads
 them once, when numpy loads it.
 """

@@ -196,7 +196,7 @@ def lift9(ds: Dataset) -> Dataset:
     x, y = ds.x[:, 0], ds.x[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
         lifted = np.column_stack(
-            [x + y, x - y, x * y, x**2, y**2, x**2 * y, x * y**2, x**3, y**3]
+            [x + y, x - y, x * y, x**2, y**2, x**2 * y, x * y**2, x * x * x, y * y * y]
         )
     if not np.isfinite(lifted).all():
         raise InvalidInputError(

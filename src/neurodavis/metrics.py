@@ -203,20 +203,18 @@ def knn_evaluate(
     k = as_count(k, "k", 1, len(train))
     preds = np.empty(len(test), dtype=np.int64)
     dists = distances(x[test], x[train])
+    train_labels = labels[train]
     for t in range(len(test)):
         # train is sorted, so a stable sort orders by (distance, row index)
-        nearest = labels[train[np.argsort(dists[t], kind="stable")[:k]]]
+        nearest = train_labels[np.argsort(dists[t], kind="stable")[:k]]
         votes = np.bincount(nearest, minlength=n_classes)
         preds[t] = nearest[np.argmax(votes[nearest] == votes.max())]
     truth = labels[test]
     accuracy = float((preds == truth).mean())
-    f1s = []
-    for c in range(n_classes):
-        tp = int(((preds == c) & (truth == c)).sum())
-        fp = int(((preds == c) & (truth != c)).sum())
-        fn = int(((preds != c) & (truth == c)).sum())
-        f1s.append(0.0 if tp == 0 else 2 * tp / (2 * tp + fp + fn))
-    return accuracy, float(np.mean(f1s))
+    hits = np.bincount(truth[preds == truth], minlength=n_classes)  # tp per class
+    counts = np.bincount(np.r_[preds, truth], minlength=n_classes)  # 2tp + fp + fn
+    f1 = np.divide(2 * hits, counts, out=np.zeros(n_classes), where=hits > 0)
+    return accuracy, float(np.mean(f1))
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -344,8 +342,8 @@ def _pair_counts(labels_true, labels_pred) -> tuple[int, int, int, int]:
     pi = as_labeling(labels_pred)
     if ti.shape != pi.shape:
         raise InvalidInputError("labelings must have equal length")
-    table = np.zeros((ti.max() + 1, pi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ti, pi), 1)
+    rows, cols = ti.max() + 1, pi.max() + 1
+    table = np.bincount(ti * cols + pi, minlength=rows * cols).reshape(rows, cols)
     sizes = (table, table.sum(axis=1), table.sum(axis=0), np.int64(len(ti)))
     return tuple(int((c * (c - 1) // 2).sum()) for c in sizes)
 

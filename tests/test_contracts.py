@@ -10,7 +10,10 @@ core type. One child interpreter computes all nine, with
 ``OPENBLAS_NUM_THREADS=1`` set before numpy loads: once with the kernels
 OpenBLAS picks for this CPU, if their core type is in the tables, and once
 more with ``OPENBLAS_CORETYPE=Haswell`` where the CPU runs AVX2 and FMA but
-OpenBLAS picks another core type (an AVX-512 or an AMD CPU).
+OpenBLAS picks another core type (an AVX-512 or an AMD CPU). That Haswell run
+also turns off numpy's SIMD dispatch targets above ``X86_V3`` with
+``NPY_DISABLE_CPU_FEATURES``, as an AVX2-only CPU would run it; the child
+reports the targets it runs, and the test checks them like the core type.
 """
 
 import ctypes
@@ -24,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -34,15 +38,15 @@ OPENBLAS_VERSION = "0.3.31.188.0"
 GATE_HASHES = {
     "SkylakeX": {
         "spiral": "4a7a425240f16717",
-        "world_map_lift9": "ded9133764f7a1c3",
+        "world_map_lift9": "30652ef6ea929954",
         "olympic": "f16bd96a97d2fa34",
-        "elliptic_ring_lift9": "e835adbe7c7c1bb3",
+        "elliptic_ring_lift9": "8c970a243aa43348",
     },
     "Haswell": {
         "spiral": "fc7f709cb2f9cace",
-        "world_map_lift9": "424cd53c9cdca0c1",
+        "world_map_lift9": "9d5c8bb8bbfce8fc",
         "olympic": "0f6775ec6666d75a",
-        "elliptic_ring_lift9": "1d88d8236cabb76d",
+        "elliptic_ring_lift9": "64312464a9294d12",
     },
 }
 GRADIENT_ORACLE = {"SkylakeX": 2.4567802438287037e-07, "Haswell": 2.4567802438287037e-07}
@@ -75,13 +79,26 @@ def _openblas_core() -> str | None:
     return corename().decode()
 
 
+def _dispatch_targets() -> list[str]:
+    """numpy's SIMD dispatch targets that this process runs, ascending."""
+    return [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+
+
+def _dispatch_above_v3() -> list[str]:
+    """The dispatch targets above ``X86_V3`` (the AVX-512 ones) that this
+    CPU enables: none on an AVX2-only CPU."""
+    targets = _dispatch_targets()
+    return targets[targets.index("X86_V3") + 1 :] if "X86_V3" in targets else []
+
+
 CHILD = """
 import ctypes, hashlib, json
 from pathlib import Path
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 import neurodavis as nd
 from neurodavis.numerics import make_rng
-""" + inspect.getsource(_openblas_core) + """
+""" + inspect.getsource(_openblas_core) + inspect.getsource(_dispatch_targets) + """
 
 def digest(data, seed, **settings):
     model, _ = nd.fit(data.x, nd.ModelConfig(seed=seed, **settings))
@@ -99,6 +116,7 @@ gen = lambda kind, seed: nd.gen_synthetic(kind, make_rng(seed))
 world = nd.lift9(gen("world_map", 4))
 print(json.dumps({
     "core": _openblas_core(),
+    "dispatch": _dispatch_targets(),
     "spiral": digest(gen("spiral", 0), 1, epochs=60, convergence=None),
     "world_map_lift9": digest(world, 3, epochs=15, convergence=None),
     "olympic": digest(gen("olympic", 4), 2),
@@ -136,10 +154,14 @@ def _runs_avx2_and_fma() -> bool:
 def _core_runs(native: str | None) -> list[tuple[str, dict]]:
     """(core type, extra environment) for each kernel family to check: the
     one OpenBLAS picks for this CPU, if the tables hold it, and the Haswell
-    kernels forced, where the CPU runs them but OpenBLAS picks another."""
+    kernels forced, where the CPU runs them but OpenBLAS picks another, with
+    numpy's dispatch targets above X86_V3 off."""
     runs = [(native, {})] if native in GATE_HASHES else []
     if native != "Haswell" and _runs_avx2_and_fma():
-        runs.append(("Haswell", {"OPENBLAS_CORETYPE": "Haswell"}))
+        off = " ".join(_dispatch_above_v3())
+        runs.append(
+            ("Haswell", {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": off})
+        )
     return runs
 
 
@@ -164,6 +186,8 @@ def test_gate_hashes_gradient_oracle_and_config_hash():
         assert done.returncode == 0, done.stderr
         got = json.loads(done.stdout)
         assert got["core"] == core
+        off = extra.get("NPY_DISABLE_CPU_FEATURES", "").split()
+        assert got["dispatch"] == [t for t in _dispatch_targets() if t not in off]
         assert {k: got[k] for k in GATE_HASHES[core]} == GATE_HASHES[core], core
         assert got["oracle"] == GRADIENT_ORACLE[core], core
         assert got["config_hash"] == DEFAULT_CONFIG_HASH

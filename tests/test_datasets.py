@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -26,7 +27,7 @@ from neurodavis.metrics import (
     knn_evaluate,
 )
 from neurodavis.numerics import make_rng
-from test_contracts import _build_mismatch
+from test_contracts import _build_mismatch, _dispatch_above_v3
 
 EXPECTED_SHAPES = {
     "elliptic_ring": (1100, 3),
@@ -44,8 +45,18 @@ CSV_SHA256 = {
     "spiral": "3326cdcc570863d38575e82abce62e53460eeaae1e5f5542b508ac8a30fc5c20",
     "shape": "1437f88fef574e7226d3400708c181317ff470eea4dfd2b7a94069fed26b5d98",
     "world_map": "6f7061cf74f3831db16b75c3bd38b8a9ee5aabec74651ca54b0ed6c454781f50",
-    "world_map_lift9": "cf7403fb5e16acbc265928a4aeec8654cc8d81bfc62af0bab857de0f1eda2bcf",
+    "world_map_lift9": "f19036699036b5428b0742829c2be40ccee03484b01f3157e9f4592d5ea0e715",
 }
+
+
+def _generated_digest() -> str:
+    """sha256 of every synthetic kind's points and labels at seed 3 and of
+    their lift9 features."""
+    h = hashlib.sha256()
+    for kind in SYNTHETIC_KINDS:
+        ds = gen_synthetic(kind, make_rng(3))
+        h.update(ds.x.tobytes() + ds.labels.tobytes() + lift9(ds).x.tobytes())
+    return h.hexdigest()
 
 
 class TestGenerators:
@@ -58,6 +69,31 @@ class TestGenerators:
         path = tmp_path / "data.csv"
         save_csv(lift9(ds) if name.endswith("_lift9") else ds, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+    def test_bytes_independent_of_simd_dispatch(self):
+        # the AVX-512 loops of some ufuncs (np.power among them) round
+        # differently from the AVX2 ones; the generators must not use them
+        off = _dispatch_above_v3()
+        if not off:
+            pytest.skip("this CPU runs no numpy dispatch target above X86_V3")
+        code = (
+            "import hashlib\n"
+            "from neurodavis.datasets import SYNTHETIC_KINDS, gen_synthetic, lift9\n"
+            "from neurodavis.numerics import make_rng\n"
+            + inspect.getsource(_generated_digest)
+            + "print(_generated_digest())\n"
+        )
+        src = str(Path(neurodavis.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=" ".join(off))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert done.stdout.strip() == _generated_digest()
 
     @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
     def test_shapes_and_classes(self, kind):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from neurodavis.analysis import finite_difference_gradients
 from neurodavis.errors import InvalidInputError, TrainingDivergedError
 from neurodavis.model import (
     ADAM_BETA1,
@@ -47,21 +48,6 @@ def straight_line_forward(model, idx):
             h = [max(0.0, a) for a in nxt] if li < len(model.layers) - 1 else nxt
         out[r] = h
     return out
-
-
-def finite_difference(model, idx, x_batch, config, step=1e-6):
-    """Independent central-difference gradients via forward + loss only."""
-    theta = model.theta
-    grads = np.zeros_like(theta)
-    for k in range(theta.size):
-        orig = theta[k]
-        theta[k] = orig + step
-        hi = loss(forward(model, idx), x_batch, model, config).total
-        theta[k] = orig - step
-        lo = loss(forward(model, idx), x_batch, model, config).total
-        theta[k] = orig
-        grads[k] = (hi - lo) / (2 * step)
-    return grads
 
 
 def zero_model(model):
@@ -476,7 +462,7 @@ class TestGradients:
         x = make_rng(2).standard_normal((5, 3))
         batch = np.array([1, 3, 1])
         analytic = gradients(model, batch, x[batch], cfg)
-        numeric = finite_difference(model, batch, x[batch], cfg)
+        numeric = finite_difference_gradients(model, batch, x[batch], cfg)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1e-3, 0.0), (1e-3, 1e-3)])
@@ -489,7 +475,7 @@ class TestGradients:
         x = make_rng(3).standard_normal((5, 4))
         batch = np.array([0, 2, 3])
         analytic = model.views(gradients(model, batch, x[batch], cfg))
-        numeric = model.views(finite_difference(model, batch, x[batch], cfg))
+        numeric = model.views(finite_difference_gradients(model, batch, x[batch], cfg))
         for name in analytic:
             a, f = analytic[name].ravel(), numeric[name].ravel()
             denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-8)
